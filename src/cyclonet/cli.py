@@ -14,7 +14,9 @@ Subcommands:
 CSV output uses %.12e formatting and is byte-identical for identical
 arguments (and seed).  The environment variable CYCLONET_FALLBACK
 (oracle|error) selects whether degenerate closed-form spectra silently fall
-back to the dense eigendecomposition or abort.
+back to the dense eigendecomposition or abort.  Invalid input files or
+arguments and unwritable output paths print one "error:" line on stderr
+and exit with code 2.
 """
 
 from __future__ import annotations
@@ -45,8 +47,9 @@ from .gates import (
     load_network,
 )
 from .group import classify
+from .linalg import DEMO_ESTIMATE_TOL, DEMO_FIDELITY_TOL, DEMO_RESIDUAL_TOL
 from .linalg import dense_eigendecomposition, unitarity_defect
-from .spectral import DegenerateSpectrumError, alternating_pair_root
+from .spectral import DegenerateSpectrumError, alternating_pair_root, check_fallback
 
 DEFAULT_ALPHA_FAMILY = tuple(
     sorted([0.0, np.pi / 6, -np.pi / 6, np.pi / 4, -np.pi / 4, np.pi / 3, -np.pi / 3, np.pi / 2, -np.pi / 2])
@@ -54,10 +57,10 @@ DEFAULT_ALPHA_FAMILY = tuple(
 
 
 def _fallback_policy() -> str:
-    policy = os.environ.get("CYCLONET_FALLBACK", "oracle")
-    if policy not in ("oracle", "error"):
-        raise SystemExit(f"CYCLONET_FALLBACK must be 'oracle' or 'error', got {policy!r}")
-    return policy
+    try:
+        return check_fallback(os.environ.get("CYCLONET_FALLBACK", "oracle"))
+    except ValueError as exc:
+        raise SystemExit(f"CYCLONET_FALLBACK: {exc}")
 
 
 def _fmt(x: float) -> str:
@@ -148,9 +151,6 @@ def cmd_figure(args) -> int:
             # degenerate spectrum there is nothing to fall back to.
             print(f"error: degenerate spectrum: {exc}", file=sys.stderr)
             return 1
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
         rows = [
             [
                 str(n),
@@ -195,7 +195,7 @@ def _demo_memory(args) -> int:
     fidelity = float(abs(np.vdot(psi, out)))
     print(f"fidelity {fidelity:.9f}")
     print(f"cycle applications: {applications}")
-    ok = fidelity > 1.0 - 1e-9 and applications <= 4
+    ok = fidelity > 1.0 - DEMO_FIDELITY_TOL and applications <= 4
     return 0 if ok else 1
 
 
@@ -222,8 +222,8 @@ def _demo_sensor(args) -> int:
         rows = [[str(n), _fmt(p)] for n, p in enumerate(probabilities)]
         _write_csv(args.output, ["n_prime", "p_psi3"], rows)
     target = 1.0 if args.bit == 0 else 0.0
-    ok = bool(np.max(np.abs(probabilities - target)) < 1e-10)
-    ok = ok and abs(final.p_psi3 - target) < 1e-10 and final.detected == (args.bit == 1)
+    ok = bool(np.max(np.abs(probabilities - target)) < DEMO_RESIDUAL_TOL)
+    ok = ok and abs(final.p_psi3 - target) < DEMO_RESIDUAL_TOL and final.detected == (args.bit == 1)
     return 0 if ok else 1
 
 
@@ -241,7 +241,7 @@ def _demo_phase_est(args) -> int:
         rows = [[str(k), _fmt(p)] for k, p in enumerate(result.distribution)]
         _write_csv(args.output, ["outcome", "probability"], rows)
     best = round(fraction * 2**args.bits) % 2**args.bits
-    ok = abs(result.estimate - best / 2**args.bits) < 1e-12
+    ok = abs(result.estimate - best / 2**args.bits) < DEMO_ESTIMATE_TOL
     return 0 if ok else 1
 
 
@@ -274,7 +274,7 @@ def _demo_chain(args) -> int:
     print(f"links={q} n_prime={args.nprime_max} dim={out.shape[0]}")
     print(f"norm={norm:.12f}")
     print(f"unperturbed-branch residual={residual:.3e}")
-    ok = abs(norm - 1.0) < 1e-10 and residual < 1e-10
+    ok = abs(norm - 1.0) < DEMO_RESIDUAL_TOL and residual < DEMO_RESIDUAL_TOL
     return 0 if ok else 1
 
 
@@ -332,7 +332,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:
+        # Invalid input or an unusable output path: one line on stderr, exit 2.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import SIGMA_X, CyclicNetwork, alternating_pair_network, compile_cycle
-from .linalg import Spectrum, check_state, check_unitary, dense_eigendecomposition
+from .linalg import TABLE_SINGULAR_TOL, Spectrum, check_state, check_unitary, dense_eigendecomposition
 from .spectral import (
     DegenerateSpectrumError,
     block_form_eigenstates,
@@ -48,10 +48,7 @@ def evolve(net: CyclicNetwork, psi0, n: int, spectrum: Spectrum | None = None) -
         raise ValueError(
             f"dimension mismatch: network dimension {u.shape[0]}, state {psi0.shape[0]}"
         )
-    if spectrum is None:
-        spectrum = dense_eigendecomposition(u)
-    coeffs = spectrum.vectors.conj().T @ psi0
-    return spectrum.vectors @ (np.exp(1j * n * spectrum.phases) * coeffs)
+    return matrix_power_spectral(u, n, spectrum) @ psi0
 
 
 # ----------------------------------------------------------------------------
@@ -100,7 +97,7 @@ def so3_example_closed_form(phi: float) -> CyclePowerTable:
     DegenerateSpectrumError directs callers to the spectral route instead.
     """
     c, s = float(np.cos(phi)), float(np.sin(phi))
-    if abs(s) < 1e-6 or abs(c + 1.0) < 1e-6:
+    if abs(s) < TABLE_SINGULAR_TOL or abs(c + 1.0) < TABLE_SINGULAR_TOL:
         raise DegenerateSpectrumError(f"closed-form table singular at phi = {phi}")
     trace = c * c + 2.0 * c
     nu1 = float(np.arccos((trace - 1.0) / 2.0))

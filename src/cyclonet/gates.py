@@ -20,11 +20,12 @@ canonical range reduction is applied.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from .linalg import unitarity_defect
+from .linalg import ZERO_TOL, check_unitary
 
 TWO_LEVEL_PAIRS = ((3, 4), (2, 3), (2, 4), (1, 2), (1, 3), (1, 4))
 # Diagonal-phase extension is only defined for the two control-gate shaped pairs.
@@ -35,6 +36,18 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 # ----------------------------------------------------------------------------
 # Matrix constructors
+
+
+def _check_two_level(p: int, r: int, gamma_p: float, gamma_r: float) -> None:
+    if (p, r) not in TWO_LEVEL_PAIRS:
+        raise ValueError(f"invalid two-level pair ({p},{r}); must be one of {TWO_LEVEL_PAIRS}")
+    if (gamma_p != 0.0 or gamma_r != 0.0) and (p, r) not in EXTENDED_PAIRS:
+        raise ValueError(f"diagonal-phase extension undefined for pair ({p},{r})")
+
+
+def _check_cnot_lines(control: int, target: int) -> None:
+    if {control, target} != {1, 2}:
+        raise ValueError("control and target must be lines 1 and 2")
 
 
 def u2_matrix(alpha: float, phi: float, beta: float, delta: float = 0.0) -> np.ndarray:
@@ -77,10 +90,7 @@ def two_level_matrix(
     left-multiply by diagonal phases e^{i gamma} on rows p and r, which is
     only defined for pairs (2,4) and (3,4).
     """
-    if (p, r) not in TWO_LEVEL_PAIRS:
-        raise ValueError(f"invalid two-level pair ({p},{r}); must be one of {TWO_LEVEL_PAIRS}")
-    if (gamma_p != 0.0 or gamma_r != 0.0) and (p, r) not in EXTENDED_PAIRS:
-        raise ValueError(f"diagonal-phase extension undefined for pair ({p},{r})")
+    _check_two_level(p, r, gamma_p, gamma_r)
     g = np.eye(4, dtype=complex)
     idx = np.ix_((p - 1, r - 1), (p - 1, r - 1))
     g[idx] = u2_matrix(0.0, phi, beta, 0.0)
@@ -102,8 +112,7 @@ def diagonal_matrix(gammas) -> np.ndarray:
 
 def cnot_matrix(control: int, target: int) -> np.ndarray:
     """Controlled-Not on two qubits, lines 1 (top) and 2 (bottom)."""
-    if {control, target} != {1, 2}:
-        raise ValueError("control and target must be lines 1 and 2")
+    _check_cnot_lines(control, target)
     p0 = np.diag([1.0, 0.0]).astype(complex)
     p1 = np.diag([0.0, 1.0]).astype(complex)
     eye = np.eye(2, dtype=complex)
@@ -116,8 +125,20 @@ def cnot_matrix(control: int, target: int) -> np.ndarray:
 # Gate specs
 
 
+class _AngleGate:
+    """Base of the gate specs that carry angles: every angle must be finite."""
+
+    def _angles(self) -> list[tuple[str, float]]:
+        return [(f.name, getattr(self, f.name)) for f in fields(self) if f.type == "float"]
+
+    def __post_init__(self):
+        for name, value in self._angles():
+            if not math.isfinite(value):
+                raise ValueError(f"{type(self).__name__} field {name!r} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
-class SingleQubit:
+class SingleQubit(_AngleGate):
     """Arbitrary U(2) gate on one loop line (line 1 = top/leftmost bit)."""
 
     line: int
@@ -128,7 +149,7 @@ class SingleQubit:
 
 
 @dataclass(frozen=True)
-class ControlDown:
+class ControlDown(_AngleGate):
     """Control on the top loop, U(2) block on the bottom qubit (|10>,|11>)."""
 
     alpha: float = 0.0
@@ -138,7 +159,7 @@ class ControlDown:
 
 
 @dataclass(frozen=True)
-class ControlUp:
+class ControlUp(_AngleGate):
     """Control on the bottom loop, U(2) block on the top qubit (|01>,|11>)."""
 
     alpha: float = 0.0
@@ -148,7 +169,7 @@ class ControlUp:
 
 
 @dataclass(frozen=True)
-class TwoLevel:
+class TwoLevel(_AngleGate):
     """Two-level factor mixing basis levels p and r (1-based), optionally phased."""
 
     p: int
@@ -159,17 +180,18 @@ class TwoLevel:
     gamma_r: float = 0.0
 
     def __post_init__(self):
-        if (self.p, self.r) not in TWO_LEVEL_PAIRS:
-            raise ValueError(f"invalid two-level pair ({self.p},{self.r})")
-        if (self.gamma_p != 0.0 or self.gamma_r != 0.0) and (self.p, self.r) not in EXTENDED_PAIRS:
-            raise ValueError(f"diagonal-phase extension undefined for pair ({self.p},{self.r})")
+        super().__post_init__()
+        _check_two_level(self.p, self.r, self.gamma_p, self.gamma_r)
 
 
 @dataclass(frozen=True)
-class DiagonalLayer:
+class DiagonalLayer(_AngleGate):
     """Diagonal phase gate diag(e^{i g1}, ..., e^{i g4})."""
 
     gammas: tuple[float, float, float, float]
+
+    def _angles(self) -> list[tuple[str, float]]:
+        return [(f"gamma{i}", g) for i, g in enumerate(self.gammas, start=1)]
 
 
 @dataclass(frozen=True)
@@ -187,8 +209,7 @@ class ControlNot:
     target: int
 
     def __post_init__(self):
-        if {self.control, self.target} != {1, 2}:
-            raise ValueError("control and target must be lines 1 and 2")
+        _check_cnot_lines(self.control, self.target)
 
 
 GateSpec = (
@@ -255,10 +276,7 @@ def compile_cycle(net: CyclicNetwork) -> np.ndarray:
     u = np.eye(dim, dtype=complex)
     for gate in net.gates:
         u = gate_matrix(gate, net.qubits) @ u
-    defect = unitarity_defect(u)
-    if defect > 1e-10:
-        raise ValueError(f"compiled cycle is not unitary (defect {defect:.3e})")
-    return u
+    return check_unitary(u)
 
 
 def u2_parameters(w: np.ndarray) -> tuple[float, float, float, float]:
@@ -268,8 +286,8 @@ def u2_parameters(w: np.ndarray) -> tuple[float, float, float, float]:
     w0 = np.exp(-1j * delta) * w
     c, s = abs(w0[0, 0]), abs(w0[0, 1])
     phi = float(np.arctan2(s, c))
-    alpha = float(np.angle(w0[0, 0])) if c > 1e-12 else 0.0
-    beta = float(np.angle(w0[0, 1])) if s > 1e-12 else 0.0
+    alpha = float(np.angle(w0[0, 0])) if c > ZERO_TOL else 0.0
+    beta = float(np.angle(w0[0, 1])) if s > ZERO_TOL else 0.0
     return alpha, phi, beta, delta
 
 
@@ -356,23 +374,38 @@ def _gate_to_json(gate: GateSpec) -> dict:
     return doc
 
 
+def _json_number(doc: dict, name: str, integer: bool) -> int | float:
+    """doc[name] as an int (integer=True) or a float, raising ValueError that names the field."""
+    value = doc[name]
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise ValueError(f"field {name!r} must be {'an integer' if integer else 'a number'}, got {value!r}")
+    if integer:
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"field {name!r} must be finite, got a {len(str(value))}-digit integer") from None
+
+
 def _gate_from_json(doc: dict) -> GateSpec:
+    if not isinstance(doc, dict):
+        raise ValueError(f"each entry of 'gates' must be an object, got {doc!r}")
     if "kind" not in doc:
         raise ValueError("gate entry missing 'kind'")
     kind = doc["kind"]
-    if kind not in _KIND_TO_CLASS:
+    if not isinstance(kind, str) or kind not in _KIND_TO_CLASS:
         raise ValueError(f"unknown gate kind {kind!r}")
     cls = _KIND_TO_CLASS[kind]
     if cls is DiagonalLayer:
         try:
-            gammas = tuple(float(doc[f"gamma{i}"]) for i in range(1, 5))
+            gammas = tuple(_json_number(doc, f"gamma{i}", integer=False) for i in range(1, 5))
         except KeyError as exc:
             raise ValueError(f"diagonal gate missing field {exc.args[0]!r}") from exc
         return DiagonalLayer(gammas)
     kwargs = {}
     for f in fields(cls):
         if f.name in doc:
-            kwargs[f.name] = int(doc[f.name]) if f.type == "int" else float(doc[f.name])
+            kwargs[f.name] = _json_number(doc, f.name, integer=f.type == "int")
         elif f.default is MISSING:
             raise ValueError(f"gate kind {kind!r} missing field {f.name!r}")
     return cls(**kwargs)
@@ -385,11 +418,15 @@ def network_to_json(net: CyclicNetwork) -> dict:
 
 def network_from_json(doc: dict) -> CyclicNetwork:
     """Parse the plain-dict form, naming the offending field on error."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"network document must be an object, got {doc!r}")
     if "qubits" not in doc:
         raise ValueError("network document missing 'qubits'")
-    qubits = int(doc["qubits"])
-    gates = tuple(_gate_from_json(g) for g in doc.get("gates", []))
-    return CyclicNetwork(qubits, gates)
+    qubits = _json_number(doc, "qubits", integer=True)
+    gates = doc.get("gates", [])
+    if not isinstance(gates, list):
+        raise ValueError(f"field 'gates' must be a list, got {gates!r}")
+    return CyclicNetwork(qubits, tuple(_gate_from_json(g) for g in gates))
 
 
 def dumps_network(net: CyclicNetwork) -> str:

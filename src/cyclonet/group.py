@@ -22,10 +22,7 @@ from .gates import (
     compile_cycle,
     two_level_matrix,
 )
-from .linalg import check_unitary
-from .spectral import _is_block_form
-
-MEMBERSHIP_TOL = 1e-10
+from .linalg import GIMBAL_TOL, MEMBERSHIP_TOL, PHASE_FLOOR, check_block_form, check_unitary, is_block_form
 
 # Factor order of the two-level product for a general 4x4 unitary:
 # D(g1..g4) . U_{3,4} . U_{2,3} . U_{2,4} . U_{1,2} . U_{1,3} . U_{1,4}
@@ -43,31 +40,33 @@ class GroupClass:
         return f"{self.tag} ({self.note})" if self.note else self.tag
 
 
-def _is_real(m: np.ndarray, tol: float) -> bool:
-    return bool(np.max(np.abs(m.imag)) <= tol)
+def _is_real(m: np.ndarray) -> bool:
+    return bool(np.max(np.abs(m.imag)) <= MEMBERSHIP_TOL)
 
 
-def classify(net: CyclicNetwork, tol: float = MEMBERSHIP_TOL) -> GroupClass:
+def _is_unimodular(m: np.ndarray) -> bool:
+    return bool(abs(np.linalg.det(m) - 1.0) <= MEMBERSHIP_TOL)
+
+
+def classify(net: CyclicNetwork) -> GroupClass:
     """Classify a network by the structure of its compiled cycle unitary."""
     if net.qubits > 2:
         raise ValueError("classification supports 1 or 2 loop qubits")
     u = compile_cycle(net)
     if net.qubits == 1:
-        det = np.linalg.det(u)
-        if abs(det - 1.0) <= tol:
-            return GroupClass("SO2") if _is_real(u, tol) else GroupClass("SU2")
+        if _is_unimodular(u):
+            return GroupClass("SO2") if _is_real(u) else GroupClass("SU2")
         return GroupClass("U2")
-    if not _is_block_form(u, tol):
+    if not is_block_form(u):
         return GroupClass("U4")
     m = u[1:, 1:]
-    det = np.linalg.det(m)
-    if _is_real(m, tol) and abs(det - 1.0) <= tol:
+    if not _is_unimodular(m):
+        return GroupClass("U3")
+    if _is_real(m):
         kinds = {type(g) for g in net.gates}
         single_axis = kinds == {ControlDown} or kinds == {ControlUp}
         return GroupClass("SO3", "single-axis" if single_axis else None)
-    if abs(det - 1.0) <= tol:
-        return GroupClass("SU3")
-    return GroupClass("U3")
+    return GroupClass("SU3")
 
 
 # ----------------------------------------------------------------------------
@@ -77,11 +76,20 @@ def classify(net: CyclicNetwork, tol: float = MEMBERSHIP_TOL) -> GroupClass:
 def _givens_parameters(w: np.ndarray, p: int, r: int) -> tuple[float, float]:
     """(phi, beta) such that w @ two_level(p, r, phi, beta)^dagger zeros entry (p, r)."""
     a, b = w[p - 1, p - 1], w[p - 1, r - 1]
-    if abs(b) < 1e-15:
+    if abs(b) < PHASE_FLOOR:
         return 0.0, 0.0
     phi = float(np.arctan2(abs(b), abs(a)))
-    beta = float(np.angle(b) - np.angle(a)) if abs(a) >= 1e-15 else 0.0
+    beta = float(np.angle(b) - np.angle(a)) if abs(a) >= PHASE_FLOOR else 0.0
     return phi, beta
+
+
+def _eliminate(w: np.ndarray, pairs) -> tuple[list[float], dict[tuple[int, int], tuple[float, float]]]:
+    """Zero entry (p, r) of w per pair in turn; return the residual diagonal phases and each (phi, beta)."""
+    params = {}
+    for p, r in pairs:
+        params[(p, r)] = _givens_parameters(w, p, r)
+        w = w @ two_level_matrix(p, r, *params[(p, r)]).conj().T
+    return [float(np.angle(w[i, i])) for i in range(w.shape[0])], params
 
 
 def decompose_u3(u) -> list[TwoLevel]:
@@ -92,19 +100,9 @@ def decompose_u3(u) -> list[TwoLevel]:
     U_{3,4}(phi1, beta1, g2, g3) . U_{2,4}(-pi/2, 0, g1, 0)
     . U_{3,4}(phi2, -beta2) . U_{2,4}(phi3 + pi/2, beta3, -beta3, beta3).
     """
-    u = check_unitary(np.asarray(u, dtype=complex))
-    if u.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 unitary, got {u.shape}")
-    if not _is_block_form(u):
-        raise ValueError("input lacks the inert-|00> block form")
-    w = u.copy()
-    params: dict[tuple[int, int], tuple[float, float]] = {}
     # Eliminate in reverse factor order of D . U_{3,4} . U_{2,3} . U_{2,4}.
-    for p, r in ((2, 4), (2, 3), (3, 4)):
-        phi, beta = _givens_parameters(w, p, r)
-        params[(p, r)] = (phi, beta)
-        w = w @ two_level_matrix(p, r, phi, beta).conj().T
-    g1, g2, g3 = (float(np.angle(w[i, i])) for i in (1, 2, 3))
+    phases, params = _eliminate(check_block_form(u), ((2, 4), (2, 3), (3, 4)))
+    g1, g2, g3 = phases[1:]
     phi1, beta1 = params[(3, 4)]
     phi2, beta2 = params[(2, 3)]
     phi3, beta3 = params[(2, 4)]
@@ -138,46 +136,33 @@ def synthesize_so3(
     return CyclicNetwork(2, tuple(reversed(matrix_order)))
 
 
-def extract_so3_angles(m, leading: str = "up", tol: float = MEMBERSHIP_TOL) -> tuple[float, float, float]:
+def extract_so3_angles(m, leading: str = "up") -> tuple[float, float, float]:
     """Euler-style angles such that synthesize_so3(*angles, leading) compiles to m.
 
     m is the real orthogonal 3x3 active block (det +1).  The gimbal case
     (middle angle 0 or pi) is resolved by setting the third angle to 0.
     """
+    if leading not in ("up", "down"):
+        raise ValueError(f"leading must be 'up' or 'down', got {leading!r}")
     m = np.asarray(m, dtype=float)
     if m.shape != (3, 3):
         raise ValueError(f"expected a 3x3 rotation, got {m.shape}")
-    if np.max(np.abs(m.T @ m - np.eye(3))) > tol:
+    if np.max(np.abs(m.T @ m - np.eye(3))) > MEMBERSHIP_TOL:
         raise ValueError("matrix is not orthogonal")
-    if abs(np.linalg.det(m) - 1.0) > tol:
+    if not _is_unimodular(m):
         raise ValueError("matrix is not a proper rotation (det != 1)")
-    if leading == "up":
-        # m = Ry(phi1) Rx(phi2) Ry(phi3): middle column/row carry phi2.
-        c2 = float(np.clip(m[1, 1], -1.0, 1.0))
-        s2 = float(np.hypot(m[1, 0], m[1, 2]))
-        phi2 = float(np.arctan2(s2, c2))
-        if s2 > 1e-9:
-            phi1 = float(np.arctan2(-m[0, 1], -m[2, 1]))
-            phi3 = float(np.arctan2(-m[1, 0], m[1, 2]))
-        else:
-            # Gimbal: rotations about one axis only; the half-turn case flips
-            # the third column's sign.
-            phi3 = 0.0
-            phi1 = float(np.arctan2(np.sign(c2) * m[0, 2], m[0, 0]))
-        return phi1, phi2, phi3
     if leading == "down":
-        # m = Rx(phi1) Ry(phi2) Rx(phi3): first column/row carry phi2.
-        c2 = float(np.clip(m[0, 0], -1.0, 1.0))
-        s2 = float(np.hypot(m[0, 1], m[0, 2]))
-        phi2 = float(np.arctan2(s2, c2))
-        if s2 > 1e-9:
-            phi1 = float(np.arctan2(-m[1, 0], -m[2, 0]))
-            phi3 = float(np.arctan2(-m[0, 1], m[0, 2]))
-        else:
-            phi3 = 0.0
-            phi1 = float(np.arctan2(np.sign(c2) * m[1, 2], m[1, 1]))
-        return phi1, phi2, phi3
-    raise ValueError(f"leading must be 'up' or 'down', got {leading!r}")
+        # Rx(phi1) Ry(phi2) Rx(phi3) is the 'up' product with the first two axes swapped.
+        m = m[np.ix_((1, 0, 2), (1, 0, 2))]
+    # m = Ry(phi1) Rx(phi2) Ry(phi3): middle column/row carry phi2.
+    c2 = float(np.clip(m[1, 1], -1.0, 1.0))
+    s2 = float(np.hypot(m[1, 0], m[1, 2]))
+    phi2 = float(np.arctan2(s2, c2))
+    if s2 > GIMBAL_TOL:
+        return float(np.arctan2(-m[0, 1], -m[2, 1])), phi2, float(np.arctan2(-m[1, 0], m[1, 2]))
+    # Gimbal: rotations about one axis only; the half-turn case flips the
+    # third column's sign.
+    return float(np.arctan2(np.sign(c2) * m[0, 2], m[0, 0])), phi2, 0.0
 
 
 # ----------------------------------------------------------------------------
@@ -210,14 +195,8 @@ def extract_u4_parameters(u) -> U4Parameters:
     Successive two-level eliminations zero one upper off-diagonal entry per
     factor (in reverse factor order); the residual diagonal gives the phases.
     """
-    u = check_unitary(np.asarray(u, dtype=complex))
+    u = check_unitary(u)
     if u.shape != (4, 4):
         raise ValueError(f"expected a 4x4 unitary, got {u.shape}")
-    w = u.copy()
-    rotations: dict[tuple[int, int], tuple[float, float]] = {}
-    for p, r in reversed(U4_PAIR_ORDER):
-        phi, theta = _givens_parameters(w, p, r)
-        rotations[(p, r)] = (phi, theta)
-        w = w @ two_level_matrix(p, r, phi, theta).conj().T
-    gammas = tuple(float(np.angle(w[i, i])) for i in range(4))
-    return U4Parameters(gammas, tuple(rotations[pair] for pair in U4_PAIR_ORDER))
+    gammas, rotations = _eliminate(u, reversed(U4_PAIR_ORDER))
+    return U4Parameters(tuple(gammas), tuple(rotations[pair] for pair in U4_PAIR_ORDER))

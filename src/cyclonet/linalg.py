@@ -14,8 +14,19 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-UNITARY_TOL = 1e-10
-STATE_TOL = 1e-10
+# Numerical tolerances: every threshold the package compares a magnitude with.
+UNITARY_TOL = 1e-10  # largest entry of U†U − I accepted as unitary
+STATE_TOL = 1e-10  # largest |‖v‖ − 1| accepted as a normalized state
+MEMBERSHIP_TOL = 1e-10  # group tests: inert-|00> row/column, real block, det 1, orthogonality
+ROOT_TOL = 1e-8  # closed-form roots: largest |‖λ‖ − 1|, smallest separation for cofactor vectors
+ZERO_TOL = 1e-12  # a Cardano intermediate, cofactor norm or entry whose angle is read counts as 0
+PHASE_FLOOR = 1e-15  # entry too small to carry a phase (eigenvector canonicalization, Givens)
+TRACE_SLACK = 1e-9  # slack on the real-trace range [-1, 3] of a rotation block
+GIMBAL_TOL = 1e-9  # sine of the middle Euler angle below which extraction takes the gimbal case
+TABLE_SINGULAR_TOL = 1e-6  # distance from sin phi = 0 or cos phi = -1 where the power table is singular
+DEMO_FIDELITY_TOL = 1e-9  # CLI memory demo: largest fidelity shortfall from 1
+DEMO_RESIDUAL_TOL = 1e-10  # CLI sensor and chain demos: largest probability, norm or branch residual
+DEMO_ESTIMATE_TOL = 1e-12  # CLI phase-estimation demo: largest error of the t-bit estimate
 
 
 def as_matrix(u) -> np.ndarray:
@@ -40,24 +51,40 @@ def unitarity_defect(u) -> float:
     return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
 
 
-def check_unitary(u, tol: float = UNITARY_TOL) -> np.ndarray:
+def check_unitary(u) -> np.ndarray:
     """Return U as an ndarray, raising ValueError if it is not unitary."""
     u = as_matrix(u)
     defect = unitarity_defect(u)
-    if not np.isfinite(u).all():
-        raise ValueError("matrix contains non-finite entries")
-    if defect > tol:
-        raise ValueError(f"matrix is not unitary (defect {defect:.3e} > {tol:.1e})")
+    if not defect <= UNITARY_TOL:  # a non-finite entry makes the defect NaN or inf
+        if not np.isfinite(u).all():
+            raise ValueError("matrix contains non-finite entries")
+        raise ValueError(f"matrix is not unitary (defect {defect:.3e} > {UNITARY_TOL:.1e})")
     return u
 
 
-def check_state(v, tol: float = STATE_TOL) -> np.ndarray:
+def is_block_form(g: np.ndarray) -> bool:
+    """Whether |00> is inert: the first row and column equal e1 within MEMBERSHIP_TOL."""
+    e1 = np.eye(g.shape[0])[0]
+    return bool(np.abs(g[0, :] - e1).max() <= MEMBERSHIP_TOL and np.abs(g[:, 0] - e1).max() <= MEMBERSHIP_TOL)
+
+
+def check_block_form(g) -> np.ndarray:
+    """Return g as an ndarray, raising ValueError unless it is a block-form 4x4 unitary."""
+    g = check_unitary(g)
+    if g.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 unitary, got {g.shape}")
+    if not is_block_form(g):
+        raise ValueError("matrix lacks the inert-|00> block form")
+    return g
+
+
+def check_state(v) -> np.ndarray:
     """Return v as an ndarray, raising ValueError if it is not normalized."""
     v = as_state(v)
     if not np.isfinite(v).all():
         raise ValueError("state contains non-finite amplitudes")
     norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > tol:
+    if abs(norm - 1.0) > STATE_TOL:
         raise ValueError(f"state is not normalized (|norm - 1| = {abs(norm - 1):.3e})")
     return v
 
@@ -116,26 +143,26 @@ def _canonical_vector_phase(v: np.ndarray) -> np.ndarray:
     """Rotate a vector's global phase so its largest-magnitude entry is real positive."""
     k = int(np.argmax(np.abs(v)))
     mag = abs(v[k])
-    if mag < 1e-15:
+    if mag < PHASE_FLOOR:
         return v
     return v * (v[k].conjugate() / mag)
 
 
-def dense_eigendecomposition(u, tol: float = UNITARY_TOL) -> Spectrum:
+def dense_eigendecomposition(u) -> Spectrum:
     """Full eigendecomposition of a unitary via the complex Schur form.
 
     Eigenphases are returned ascending in (-pi, pi]; ties are broken by the
     phase of each (canonicalized) eigenvector's leading nonzero entry.  The
     Schur route keeps eigenvectors orthonormal even for degenerate spectra.
     """
-    u = check_unitary(u, tol)
+    u = check_unitary(u)
     t, z = scipy.linalg.schur(u, output="complex")
     phases = np.angle(np.diag(t))
     vectors = np.array([_canonical_vector_phase(z[:, k]) for k in range(u.shape[0])]).T
 
     def leading_phase(k: int) -> float:
         col = vectors[:, k]
-        nonzero = np.flatnonzero(np.abs(col) > 1e-12)
+        nonzero = np.flatnonzero(np.abs(col) > ZERO_TOL)
         return float(np.angle(col[nonzero[0]])) if nonzero.size else 0.0
 
     order = sorted(range(u.shape[0]), key=lambda k: (phases[k], leading_phase(k)))

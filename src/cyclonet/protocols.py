@@ -108,20 +108,19 @@ def sensor_probability(net: CyclicNetwork, acyclic_state, n_prime: int) -> float
     return float(abs(out[0]) ** 2 + abs(out[4]) ** 2)
 
 
-def sensor_run(
-    net: CyclicNetwork, acyclic_bit: int, n_prime: int, threshold: float = 0.5
-) -> SensorReading:
+def sensor_run(net: CyclicNetwork, acyclic_bit: int, n_prime: int) -> SensorReading:
     """Detect whether a probe qubit in |1> crossed the cycle's control gate.
 
     The cycle starts in the inert |00> reference state.  A probe bit 0
     leaves it there (probability 1 at every n'); a probe bit 1 flips the
-    cycle into the active subspace, which never returns to |00>.
+    cycle into the active subspace, which never returns to |00>.  The
+    reading counts as a detection when the probability is below 1/2.
     """
     if acyclic_bit not in (0, 1):
         raise ValueError("acyclic_bit must be 0 or 1")
     probe = (1.0, 0.0) if acyclic_bit == 0 else (0.0, 1.0)
     p = sensor_probability(net, probe, n_prime)
-    return SensorReading(p_psi3=p, detected=p < threshold)
+    return SensorReading(p_psi3=p, detected=p < 0.5)
 
 
 @dataclass(frozen=True, eq=False)

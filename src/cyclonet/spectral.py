@@ -18,12 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Spectrum, check_unitary, dense_eigendecomposition
+from .linalg import ROOT_TOL, TRACE_SLACK, ZERO_TOL
+from .linalg import Spectrum, check_block_form, check_unitary, dense_eigendecomposition
 
 log = logging.getLogger(__name__)
 
 THIRD_TURN = 2.0 * np.pi / 3.0
-_DEGENERACY_TOL = 1e-8
 
 
 class DegenerateSpectrumError(RuntimeError):
@@ -42,26 +42,41 @@ class CubicCoefficients:
     w: complex
 
 
-def cubic_coefficients(m) -> CubicCoefficients:
-    """Characteristic-cubic coefficients of a 3x3 unitary block.
+def check_fallback(fallback: str) -> str:
+    """Return the fallback policy name, raising ValueError unless it is 'oracle' or 'error'."""
+    if fallback not in ("oracle", "error"):
+        raise ValueError(f"unknown fallback policy {fallback!r}; expected 'oracle' or 'error'")
+    return fallback
 
-    a1 = -tr M, a2 = sum of principal 2x2 minors, a3 = -det M, with the
-    depressed-cubic intermediates q, p and the Cardano radicand root w.
-    """
-    m = check_unitary(np.asarray(m, dtype=complex))
-    if m.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 block, got {m.shape}")
+
+def _cardano(a1, a2, a3) -> CubicCoefficients:
+    """Depressed-cubic intermediates q, p and the Cardano radicand root w."""
+    q = (9.0 * a1 * a2 - 27.0 * a3 - 2.0 * a1**3) / 27.0
+    p = (3.0 * a2 - a1**2) / 3.0
+    w = q / 2.0 + np.sqrt(complex(q * q / 4.0 + p**3 / 27.0))
+    return CubicCoefficients(complex(a1), complex(a2), complex(a3), complex(q), complex(p), complex(w))
+
+
+def _block_cubic(m: np.ndarray) -> CubicCoefficients:
     a1 = -np.trace(m)
     a2 = (
         (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
         + (m[0, 0] * m[2, 2] - m[0, 2] * m[2, 0])
         + (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
     )
-    a3 = -np.linalg.det(m)
-    q = (9.0 * a1 * a2 - 27.0 * a3 - 2.0 * a1**3) / 27.0
-    p = (3.0 * a2 - a1**2) / 3.0
-    w = q / 2.0 + np.sqrt(complex(q * q / 4.0 + p**3 / 27.0))
-    return CubicCoefficients(complex(a1), complex(a2), complex(a3), complex(q), complex(p), complex(w))
+    return _cardano(a1, a2, -np.linalg.det(m))
+
+
+def cubic_coefficients(m) -> CubicCoefficients:
+    """Characteristic-cubic coefficients of a 3x3 unitary block.
+
+    a1 = -tr M, a2 = sum of principal 2x2 minors, a3 = -det M, with the
+    depressed-cubic intermediates q, p and the Cardano radicand root w.
+    """
+    m = check_unitary(m)
+    if m.shape != (3, 3):
+        raise ValueError(f"expected a 3x3 block, got {m.shape}")
+    return _block_cubic(m)
 
 
 def _cardano_roots(w: complex, p: complex, a1: complex) -> np.ndarray:
@@ -71,7 +86,7 @@ def _cardano_roots(w: complex, p: complex, a1: complex) -> np.ndarray:
     return u - p / (3.0 * u) - a1 / 3.0
 
 
-def solve_cubic(coeffs: CubicCoefficients, tol: float = _DEGENERACY_TOL) -> np.ndarray:
+def solve_cubic(coeffs: CubicCoefficients) -> np.ndarray:
     """Roots of the characteristic cubic, in Cardano branch order (k = 0, 1, 2).
 
     For coefficients of a unitary block every root must be unimodular; if
@@ -79,18 +94,18 @@ def solve_cubic(coeffs: CubicCoefficients, tol: float = _DEGENERACY_TOL) -> np.n
     tried, and a still-failing or vanishing-w case raises
     DegenerateSpectrumError so callers can fall back to the dense oracle.
     """
-    if abs(coeffs.w) < 1e-12:
-        if abs(coeffs.p) < 1e-12:
+    if abs(coeffs.w) < ZERO_TOL:
+        if abs(coeffs.p) < ZERO_TOL:
             # Triple root.
             return np.full(3, -coeffs.a1 / 3.0, dtype=complex)
         raise DegenerateSpectrumError("vanishing Cardano radicand with nonzero depressed coefficient")
     roots = _cardano_roots(coeffs.w, coeffs.p, coeffs.a1)
-    if np.max(np.abs(np.abs(roots) - 1.0)) < tol:
+    if np.max(np.abs(np.abs(roots) - 1.0)) < ROOT_TOL:
         return roots
     w_alt = coeffs.q / 2.0 - np.sqrt(complex(coeffs.q**2 / 4.0 + coeffs.p**3 / 27.0))
-    if abs(w_alt) >= 1e-12:
+    if abs(w_alt) >= ZERO_TOL:
         roots = _cardano_roots(w_alt, coeffs.p, coeffs.a1)
-        if np.max(np.abs(np.abs(roots) - 1.0)) < tol:
+        if np.max(np.abs(np.abs(roots) - 1.0)) < ROOT_TOL:
             return roots
     raise DegenerateSpectrumError("both Cardano branches produced non-unimodular roots")
 
@@ -98,7 +113,7 @@ def solve_cubic(coeffs: CubicCoefficients, tol: float = _DEGENERACY_TOL) -> np.n
 def real_trace_eigenvalues(trace: float) -> np.ndarray:
     """Roots {1, e^{i nu}, e^{-i nu}} with cos nu = (tr - 1)/2, for real trace in [-1, 3]."""
     trace = float(trace)
-    if trace < -1.0 - 1e-9 or trace > 3.0 + 1e-9:
+    if trace < -1.0 - TRACE_SLACK or trace > 3.0 + TRACE_SLACK:
         raise ValueError(f"real trace {trace} outside [-1, 3]")
     radicand = max((3.0 - trace) * (trace + 1.0), 0.0)
     re = (trace - 1.0) / 2.0
@@ -106,13 +121,7 @@ def real_trace_eigenvalues(trace: float) -> np.ndarray:
     return np.array([1.0, re + 1j * im, re - 1j * im], dtype=complex)
 
 
-def _is_block_form(g: np.ndarray, tol: float = 1e-10) -> bool:
-    e1 = np.zeros(g.shape[0])
-    e1[0] = 1.0
-    return bool(np.max(np.abs(g[0, :] - e1)) <= tol and np.max(np.abs(g[:, 0] - e1)) <= tol)
-
-
-def block_form_eigenstates(g, eigenvalues, tol: float = _DEGENERACY_TOL) -> Spectrum:
+def block_form_eigenstates(g, eigenvalues) -> Spectrum:
     """Eigenstates of a block-form 4x4 cycle unitary from the cofactor formula.
 
     eigenvalues are the three roots of the active block's cubic; the result
@@ -122,19 +131,18 @@ def block_form_eigenstates(g, eigenvalues, tol: float = _DEGENERACY_TOL) -> Spec
     keep their printed signs.  Raises DegenerateSpectrumError when the roots
     are too close for the cofactor vectors to be reliable.
     """
-    g = check_unitary(np.asarray(g, dtype=complex))
-    if g.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 cycle unitary, got {g.shape}")
-    if not _is_block_form(g):
-        raise ValueError("cycle unitary lacks the inert-|00> block form")
+    return _cofactor_eigenstates(check_block_form(g), eigenvalues)
+
+
+def _cofactor_eigenstates(g: np.ndarray, eigenvalues) -> Spectrum:
     lams = np.asarray(eigenvalues, dtype=complex)
     if lams.shape != (3,):
         raise ValueError("expected exactly three block eigenvalues")
     for i in range(3):
         for j in range(i + 1, 3):
-            if abs(lams[i] - lams[j]) <= tol:
+            if abs(lams[i] - lams[j]) <= ROOT_TOL:
                 raise DegenerateSpectrumError(
-                    f"eigenvalues {i} and {j} within {tol:.1e}; cofactor vectors degenerate"
+                    f"eigenvalues {i} and {j} within {ROOT_TOL:.1e}; cofactor vectors degenerate"
                 )
     m = g[1:, 1:]
     vectors = np.zeros((4, 4), dtype=complex)
@@ -150,7 +158,7 @@ def block_form_eigenstates(g, eigenvalues, tol: float = _DEGENERACY_TOL) -> Spec
             dtype=complex,
         )
         norm = np.linalg.norm(raw)
-        if norm < 1e-12:
+        if norm < ZERO_TOL:
             raise DegenerateSpectrumError(f"cofactor vector vanished for eigenvalue index {k}")
         norms[k] = 1.0 / norm
         vectors[:, k] = raw / norm
@@ -165,13 +173,10 @@ def spectrum_closed_form(g, fallback: str = "oracle") -> Spectrum:
     fallback='oracle' silently switches to the dense eigendecomposition on a
     degenerate spectrum (logged); fallback='error' re-raises instead.
     """
-    if fallback not in ("oracle", "error"):
-        raise ValueError(f"unknown fallback policy {fallback!r}")
-    g = np.asarray(g, dtype=complex)
+    check_fallback(fallback)
+    g = check_block_form(g)
     try:
-        coeffs = cubic_coefficients(g[1:, 1:])
-        roots = solve_cubic(coeffs)
-        return block_form_eigenstates(g, roots)
+        return _cofactor_eigenstates(g, solve_cubic(_block_cubic(g[1:, 1:])))
     except DegenerateSpectrumError as exc:
         if fallback == "error":
             raise
@@ -189,16 +194,6 @@ def alternating_pair_trace(alpha: float, phi: float) -> complex:
     return complex(np.exp(-2j * alpha) * c * c + 2.0 * np.exp(1j * alpha) * c)
 
 
-def _alternating_coefficients(alpha: float, phi: float) -> CubicCoefficients:
-    # Unit-determinant block: a1 = -tr, a2 = conj(tr), a3 = -1.
-    a = alternating_pair_trace(alpha, phi)
-    a1, a2, a3 = -a, np.conj(a), -1.0 + 0.0j
-    q = (9.0 * a1 * a2 - 27.0 * a3 - 2.0 * a1**3) / 27.0
-    p = (3.0 * a2 - a1**2) / 3.0
-    w = q / 2.0 + np.sqrt(complex(q * q / 4.0 + p**3 / 27.0))
-    return CubicCoefficients(a1, a2, a3, q, p, w)
-
-
 def alternating_pair_root(alpha: float, phi: float, fallback: str = "oracle") -> complex:
     """The k = 0 Cardano branch root of the alternating pair's cubic.
 
@@ -207,11 +202,10 @@ def alternating_pair_root(alpha: float, phi: float, fallback: str = "oracle") ->
     closest dense-oracle eigenvalue of the compiled pair network, while
     fallback='error' re-raises DegenerateSpectrumError.
     """
-    if fallback not in ("oracle", "error"):
-        raise ValueError(f"unknown fallback policy {fallback!r}")
-    coeffs = _alternating_coefficients(alpha, phi)
-    if abs(coeffs.w) < 1e-12 and abs(coeffs.p) < 1e-12:
-        return complex(-coeffs.a1 / 3.0)
+    check_fallback(fallback)
+    # Unit-determinant block: a1 = -tr, a2 = conj(tr), a3 = -1.
+    a = alternating_pair_trace(alpha, phi)
+    coeffs = _cardano(-a, np.conj(a), -1.0 + 0.0j)
     try:
         return complex(solve_cubic(coeffs)[0])
     except DegenerateSpectrumError:

@@ -1,5 +1,6 @@
 """Command-line interface: classification reports, CSVs, demos, determinism."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -78,6 +79,31 @@ class TestClassify:
         assert main(["classify", "--input", str(tmp_path / "nope.json")]) == 2
         assert "cannot read" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_angle_exits_2_on_stderr_only(self, tmp_path, capsys, bad):
+        path = tmp_path / "net.json"
+        path.write_text('{"qubits": 2, "gates": [{"kind": "control_down", "phi": %s}]}' % bad)
+        assert main(["classify", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'phi' must be finite" in captured.err
+        assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({"qubits": 2, "gates": 5}, "gates"),
+            ({"qubits": 2, "gates": [{"kind": "u2", "line": 1.7}]}, "line"),
+            ({"qubits": 1.5, "gates": []}, "qubits"),
+            ({"qubits": 2, "gates": ["control_down"]}, "gates"),
+        ],
+    )
+    def test_mistyped_field_exits_2_naming_it(self, tmp_path, capsys, doc, field):
+        assert main(["classify", "--input", write_net(tmp_path / "net.json", doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"'{field}'" in captured.err
+
 
 class TestFigures:
     def test_nu0_sweep_zero_alpha_column_is_flat_zero(self, tmp_path):
@@ -142,6 +168,50 @@ class TestFigures:
         rc = main(["figure", "nu0-sweep", "--output", str(tmp_path / "x.csv"), "--grid-step", "0"])
         assert rc == 2
         assert "grid-step" in capsys.readouterr().err
+
+
+class TestErrorExits:
+    """Invalid arguments and unusable paths end in one stderr line and exit code 2."""
+
+    def check_error(self, capsys, argv, fragment):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and fragment in err
+        assert len(err.splitlines()) == 1
+
+    def test_memory_negative_cycles(self, capsys):
+        self.check_error(capsys, ["demo", "memory", "--cycles", "-5"], "non-negative")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["figure", "nu0-sweep", "--grid-step", "0.5"],
+            ["figure", "pert-series", "--nu1", "0.7", "--nprime-max", "5"],
+            ["demo", "sensor", "--nprime-max", "5"],
+            ["demo", "phase-est"],
+        ],
+    )
+    def test_unwritable_output(self, tmp_path, capsys, argv):
+        missing = str(tmp_path / "no-such-dir" / "out.csv")
+        self.check_error(capsys, argv + ["--output", missing], "no-such-dir")
+
+
+# sha256 of the CSVs these arguments wrote before the spectral layer was
+# consolidated (numpy 2.4, x86-64 Linux); a refactor must keep every byte.
+GOLDEN_SHA256 = {
+    ("figure", "nu0-sweep"): "7909af4fd23a306f96202fea3c50f920482547b19b780eb29b4d532d71649c46",
+    ("figure", "pert-series", "--nu1", "0.7", "--nprime-max", "2000"):
+        "376e326d6fee7943cdbffca568299167b0a3939570615e0604e1e4657a6b48ed",
+    ("demo", "sensor"): "1169a233270c85e54b32ab28f1f265ae849881ef2417d46bb7325f82298ab910",
+    ("demo", "phase-est"): "7c206615156b4b8aedf5670863d73738489db7248439aca0e46b64ac9bd76734",
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_SHA256), ids=lambda argv: " ".join(argv))
+def test_csv_bytes_match_golden_digest(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256[argv]
 
 
 class TestDemos:

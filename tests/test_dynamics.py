@@ -91,6 +91,15 @@ class TestMatrixPowerSpectral:
             n = int(rng.integers(0, 10_001))
             assert np.max(np.abs(matrix_power_spectral(u, n) - matrix_power_direct(u, n))) < 1e-8
 
+    @pytest.mark.parametrize("n", [10**4, 10**6, 10**8])
+    def test_power_error_grows_like_n_eps(self, n):
+        # Eigenphase errors of order eps become phase errors of order n*eps in U^n.
+        rng = np.random.default_rng(7)
+        bound = 1e-12 + 16 * n * np.finfo(float).eps
+        for _ in range(20):
+            u = compile_cycle(random_alternating_network(rng))
+            assert np.max(np.abs(matrix_power_spectral(u, n) - matrix_power_direct(u, n))) < bound
+
 
 class TestClosedFormTable:
     def test_corner_entries_literal(self):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclonet import (
     ControlDown,
@@ -277,3 +279,83 @@ class TestJson:
     def test_missing_qubits_named_in_error(self):
         with pytest.raises(ValueError, match="qubits"):
             network_from_json({"gates": []})
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_json_angle_named_in_error(self, bad):
+        doc = {"qubits": 2, "gates": [{"kind": "control_down", "phi": bad}]}
+        with pytest.raises(ValueError, match="'phi' must be finite"):
+            network_from_json(doc)
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (
+                {"qubits": 2, "gates": [dict(kind="diagonal", gamma1=0, gamma2=0, gamma3=np.nan, gamma4=0)]},
+                "'gamma3' must be finite",
+            ),
+            ({"qubits": 2, "gates": [{"kind": "control_up", "beta": 10**400}]}, "'beta' must be finite"),
+            ({"qubits": 2, "gates": 5}, "'gates' must be a list"),
+            ({"qubits": 2, "gates": [{"kind": "not", "line": 1.7}]}, "'line' must be an integer"),
+            ({"qubits": 1.5, "gates": []}, "'qubits' must be an integer"),
+            ({"qubits": True, "gates": []}, "'qubits' must be an integer"),
+            ({"qubits": 2, "gates": [5]}, "entry of 'gates' must be an object"),
+            ({"qubits": 2, "gates": [{"kind": "control_up", "alpha": "0.1"}]}, "'alpha' must be a number"),
+            ([{"qubits": 2}], "must be an object"),
+        ],
+    )
+    def test_mistyped_field_named_in_error(self, doc, message):
+        with pytest.raises(ValueError, match=message):
+            network_from_json(doc)
+
+
+class TestGateSpecValidation:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "make, field",
+        [
+            (lambda x: ControlDown(phi=x), "phi"),
+            (lambda x: ControlUp(alpha=x), "alpha"),
+            (lambda x: SingleQubit(1, delta=x), "delta"),
+            (lambda x: TwoLevel(3, 4, 0.1, 0.2, gamma_r=x), "gamma_r"),
+            (lambda x: DiagonalLayer((0.0, x, 0.0, 0.0)), "gamma2"),
+        ],
+    )
+    def test_non_finite_angle_rejected(self, make, field, bad):
+        with pytest.raises(ValueError, match=f"'{field}' must be finite"):
+            make(bad)
+
+    def test_finite_angles_accepted(self):
+        assert ControlDown(0.1, 0.2, 0.3, 0.4).phi == 0.2
+        assert TwoLevel(2, 4, 0.9, -0.9, 0.25, -0.25).gamma_r == -0.25
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+GATE_FIELDS = ("line", "alpha", "phi", "beta", "delta", "p", "r", "gamma_p", "gamma_r", "control", "target")
+GATE_DOCS = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["u2", "control_down", "control_up", "two_level", "diagonal", "not", "control_not"])},
+    optional={
+        **{name: st.integers(-1, 5) | st.floats() | JSON_VALUES for name in GATE_FIELDS},
+        **{f"gamma{i}": st.floats() | JSON_VALUES for i in range(1, 5)},
+    },
+)
+NETWORK_DOCS = st.fixed_dictionaries(
+    {},
+    optional={
+        "qubits": st.integers(0, 3) | JSON_VALUES,
+        "gates": st.lists(GATE_DOCS | JSON_VALUES, max_size=3) | JSON_VALUES,
+    },
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(NETWORK_DOCS)
+def test_any_document_parses_exactly_or_raises_value_error(doc):
+    try:
+        net = network_from_json(doc)
+    except ValueError:
+        return
+    assert network_from_json(network_to_json(net)) == net

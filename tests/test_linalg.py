@@ -144,3 +144,17 @@ class TestDenseEigendecomposition:
             spec = dense_eigendecomposition(u)
             rebuilt = (spec.vectors * np.exp(1j * n * spec.phases)) @ spec.vectors.conj().T
             assert np.max(np.abs(rebuilt - matrix_power_direct(u, n))) < 1e-8
+
+
+class TestInputChecks:
+    def test_dense_eigendecomposition_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            dense_eigendecomposition(np.full((4, 4), np.nan))
+
+    def test_compile_cycle_rejects_non_finite_product(self, monkeypatch):
+        # A NaN defect compares false with any tolerance; the check must still fail.
+        import cyclonet.gates
+
+        monkeypatch.setattr(cyclonet.gates, "gate_matrix", lambda gate, qubits: np.full((4, 4), np.nan))
+        with pytest.raises(ValueError, match="non-finite"):
+            compile_cycle(alternating_pair_network(0.5))

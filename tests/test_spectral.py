@@ -300,3 +300,40 @@ class TestAlternatingPair:
             roots = real_trace_eigenvalues(trace.real)
             oracle = dense_eigendecomposition(m).eigenvalues()
             assert eigenvalue_multiset_deviation(roots, oracle) < 1e-8
+
+
+class TestInputChecks:
+    NON_UNITARY_3 = np.diag([1.0, 1.0, 2.0]).astype(complex)
+
+    def test_cubic_coefficients_rejects_non_unitary_and_non_finite(self):
+        with pytest.raises(ValueError, match="unitary"):
+            cubic_coefficients(self.NON_UNITARY_3)
+        with pytest.raises(ValueError, match="non-finite"):
+            cubic_coefficients(np.full((3, 3), np.nan))
+
+    def test_block_form_eigenstates_rejects_bad_input(self):
+        roots = np.array([1.0, 1j, -1j])
+        with pytest.raises(ValueError, match="unitary"):
+            block_form_eigenstates(np.diag([1.0, 1.0, 1.0, 2.0]).astype(complex), roots)
+        with pytest.raises(ValueError, match="non-finite"):
+            block_form_eigenstates(np.full((4, 4), np.nan), roots)
+        with pytest.raises(ValueError, match="block form"):
+            block_form_eigenstates(np.eye(4)[[1, 0, 2, 3]], roots)
+
+    def test_spectrum_closed_form_rejects_non_block_form(self):
+        with pytest.raises(ValueError, match="block form"):
+            spectrum_closed_form(np.eye(4)[[1, 0, 2, 3]])
+
+    def test_spectrum_closed_form_checks_unitarity_once(self, monkeypatch):
+        import cyclonet.linalg
+
+        g = compile_cycle(alternating_pair_network(0.9, alpha=0.4))
+        calls = []
+        original = cyclonet.linalg.unitarity_defect
+        monkeypatch.setattr(cyclonet.linalg, "unitarity_defect", lambda u: calls.append(1) or original(u))
+        spectrum_closed_form(g)
+        assert len(calls) == 1
+
+    def test_alternating_root_triple_root_comes_from_solve_cubic(self):
+        # alpha = 0, phi = 0 gives the identity block: a triple root at 1.
+        assert alternating_pair_root(0.0, 0.0) == 1.0
