@@ -11,17 +11,21 @@ Subcommands:
     cyclonet demo phase-est [--phase FRACTION] [--bits T] [--output csv]
     cyclonet demo chain [--links Q] [--nprime-max N] [--seed S]
 
-CSV output uses %.12e formatting and is byte-identical for identical
-arguments (and seed).  The environment variable CYCLONET_FALLBACK
-(oracle|error) selects whether degenerate closed-form spectra silently fall
-back to the dense eigendecomposition or abort.  Invalid input files or
-arguments and unwritable output paths print one "error:" line on stderr
-and exit with code 2.
+Each command takes its numbers as arrays from the library and writes them
+with one %-format per row (%d counts, %.12e values); the CSV is
+byte-identical for identical arguments (and seed).  The environment
+variable CYCLONET_FALLBACK (oracle|error) selects whether degenerate
+closed-form spectra silently fall back to the dense eigendecomposition or
+abort.  Invalid input files or arguments (--phase, --alpha-family and
+CYCLONET_FALLBACK included) and unwritable output paths print one "error:"
+line on stderr and exit with code 2; an output path is tried before any
+work is done.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -29,13 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import protocols
-from .dynamics import (
-    closed_form_amplitude,
-    chain_evolve,
-    matrix_power_spectral,
-    nu1_to_phi,
-    perturbed_amplitude_series,
-)
+from .dynamics import chain_evolve, closed_form_amplitude, evolve, nu1_to_phi, perturbed_amplitude_series
 from .gates import (
     ControlDown,
     ControlUp,
@@ -54,26 +52,30 @@ from .spectral import DegenerateSpectrumError, alternating_pair_root, check_fall
 DEFAULT_ALPHA_FAMILY = tuple(
     sorted([0.0, np.pi / 6, -np.pi / 6, np.pi / 4, -np.pi / 4, np.pi / 3, -np.pi / 3, np.pi / 2, -np.pi / 2])
 )
+_CHUNK_ROWS = 1 << 14  # table rows formatted per write
 
 
 def _fallback_policy() -> str:
     try:
         return check_fallback(os.environ.get("CYCLONET_FALLBACK", "oracle"))
     except ValueError as exc:
-        raise SystemExit(f"CYCLONET_FALLBACK: {exc}")
+        raise ValueError(f"CYCLONET_FALLBACK: {exc}") from None
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12e}"
+def _check_output(path: str | None) -> None:
+    """Fail on an unusable output path before any work is done."""
+    if path:
+        open(path, "a", encoding="utf-8").close()
 
 
-def _write_csv(path: str, header: list[str], rows, comments: list[str] = ()) -> None:
+def _write_csv(path: str, header: str, table, row_format: str, comments=()) -> None:
+    """Write a 2-D numeric table, one %-format string per row, in fixed-size chunks."""
+    row_format += "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        for comment in comments:
-            fh.write(f"# {comment}\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        fh.writelines(f"# {comment}\n" for comment in comments)
+        fh.write(header + "\n")
+        for start in range(0, len(table), _CHUNK_ROWS):
+            fh.write("".join([row_format % tuple(row) for row in table[start : start + _CHUNK_ROWS].tolist()]))
 
 
 # ----------------------------------------------------------------------------
@@ -109,37 +111,33 @@ def _parse_alpha_family(text: str | None) -> tuple[float, ...]:
     try:
         return tuple(float(tok) for tok in text.split(","))
     except ValueError as exc:
-        raise SystemExit(f"error: bad --alpha-family entry: {exc}")
+        raise ValueError(f"bad --alpha-family entry: {exc}") from None
 
 
 def cmd_figure(args) -> int:
     if args.name == "nu0-sweep":
         if args.grid_step <= 0:
-            print("error: --grid-step must be positive", file=sys.stderr)
-            return 2
+            raise ValueError("--grid-step must be positive")
         policy = _fallback_policy()
         alphas = _parse_alpha_family(args.alpha_family)
+        _check_output(args.output)
         phis = np.arange(0.0, 2.0 * np.pi, args.grid_step)
-        rows = []
         try:
-            for alpha in alphas:
-                for phi in phis:
-                    nu0 = float(np.angle(alternating_pair_root(alpha, phi, policy)))
-                    rows.append([_fmt(alpha), _fmt(phi), _fmt(nu0)])
+            nu0 = [np.angle(alternating_pair_root(alpha, phi, policy)) for alpha in alphas for phi in phis]
         except DegenerateSpectrumError as exc:
             print(f"error: degenerate spectrum: {exc}", file=sys.stderr)
             return 1
-        _write_csv(args.output, ["alpha", "phi", "nu0"], rows)
-        print(f"wrote {len(rows)} rows to {args.output}")
+        table = np.column_stack([np.repeat(alphas, len(phis)), np.tile(phis, len(alphas)), nu0])
+        _write_csv(args.output, "alpha,phi,nu0", table, "%.12e,%.12e,%.12e")
+        print(f"wrote {len(table)} rows to {args.output}")
         return 0
-    if args.name == "pert-series":
+    else:  # pert-series, the only other name argparse admits
         if args.nu1 is None:
-            print("error: pert-series requires --nu1", file=sys.stderr)
-            return 2
+            raise ValueError("pert-series requires --nu1")
         if not 0 < args.nprime_max <= 1_000_000:
-            print("error: --nprime-max must be in 1..10^6", file=sys.stderr)
-            return 2
+            raise ValueError("--nprime-max must be in 1..10^6")
         _fallback_policy()  # validate the env var even though this figure has no oracle route
+        _check_output(args.output)
         try:
             phi = nu1_to_phi(args.nu1)
             series = perturbed_amplitude_series(phi, args.eigenstate, args.basis, args.nprime_max)
@@ -151,27 +149,20 @@ def cmd_figure(args) -> int:
             # degenerate spectrum there is nothing to fall back to.
             print(f"error: degenerate spectrum: {exc}", file=sys.stderr)
             return 1
-        rows = [
-            [
-                str(n),
-                _fmt(series[n].real),
-                _fmt(series[n].imag),
-                _fmt(abs(series[n])),
-                _fmt(background[n].real),
-                _fmt(background[n].imag),
-            ]
-            for n in range(args.nprime_max + 1)
-        ]
+        # hypot, not np.abs: it matches the scalar abs() of each entry bit for bit.
+        magnitude = np.hypot(series.real, series.imag)
+        table = np.column_stack(
+            [np.arange(len(series)), series.real, series.imag, magnitude, background.real, background.imag]
+        )
         _write_csv(
             args.output,
-            ["n_prime", "re", "im", "abs", "background_re", "background_im"],
-            rows,
-            comments=[f"nu1={_fmt(args.nu1)}", f"phi={_fmt(phi)}", f"basis={args.basis}", f"k={args.eigenstate}"],
+            "n_prime,re,im,abs,background_re,background_im",
+            table,
+            "%d" + ",%.12e" * 5,
+            comments=[f"nu1={args.nu1:.12e}", f"phi={phi:.12e}", f"basis={args.basis}", f"k={args.eigenstate}"],
         )
-        print(f"wrote {len(rows)} rows to {args.output}")
+        print(f"wrote {len(table)} rows to {args.output}")
         return 0
-    print(f"error: unknown figure {args.name!r}", file=sys.stderr)
-    return 2
 
 
 # ----------------------------------------------------------------------------
@@ -201,26 +192,16 @@ def _demo_memory(args) -> int:
 
 def _demo_sensor(args) -> int:
     if not 0 <= args.nprime_max <= 1_000_000:
-        print("error: --nprime-max must be in 0..10^6", file=sys.stderr)
-        return 2
+        raise ValueError("--nprime-max must be in 0..10^6")
+    _check_output(args.output)
     net = alternating_pair_network(args.phi)
     final = protocols.sensor_run(net, args.bit, args.nprime_max)
     print(f"P(psi3)={final.p_psi3:.9f} detected={'true' if final.detected else 'false'}")
-    # Stepwise cross-check of every intermediate cycle count: the probed
-    # branch is the flipped reference state iterated one cycle at a time.
-    u = compile_cycle(net)
-    if args.bit == 0:
-        probabilities = np.ones(args.nprime_max + 1)
-    else:
-        v = np.zeros(4, dtype=complex)
-        v[1] = 1.0  # reference state with the bottom qubit flipped
-        probabilities = np.empty(args.nprime_max + 1)
-        for n in range(args.nprime_max + 1):
-            probabilities[n] = abs(v[0]) ** 2
-            v = u @ v
+    # The self-check covers every intermediate cycle count, not only the last.
+    probabilities = protocols.sensor_series(net, args.bit, args.nprime_max)
     if args.output:
-        rows = [[str(n), _fmt(p)] for n, p in enumerate(probabilities)]
-        _write_csv(args.output, ["n_prime", "p_psi3"], rows)
+        table = np.column_stack([np.arange(len(probabilities)), probabilities])
+        _write_csv(args.output, "n_prime,p_psi3", table, "%d,%.12e")
     target = 1.0 if args.bit == 0 else 0.0
     ok = bool(np.max(np.abs(probabilities - target)) < DEMO_RESIDUAL_TOL)
     ok = ok and abs(final.p_psi3 - target) < DEMO_RESIDUAL_TOL and final.detected == (args.bit == 1)
@@ -228,7 +209,11 @@ def _demo_sensor(args) -> int:
 
 
 def _demo_phase_est(args) -> int:
-    fraction = float(Fraction(args.phase))
+    try:
+        fraction = float(Fraction(args.phase))
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"--phase must be a fraction such as 1/8, got {args.phase!r}") from None
+    _check_output(args.output)
     net = CyclicNetwork(2, (DiagonalLayer((0.0, 2.0 * np.pi * fraction, 0.0, 0.0)),))
     spectrum = dense_eigendecomposition(compile_cycle(net))
     target = np.angle(np.exp(2j * np.pi * fraction))
@@ -238,20 +223,19 @@ def _demo_phase_est(args) -> int:
     print(f"estimate={result.estimate}")
     print(f"peak probability={result.distribution.max():.9f}")
     if args.output:
-        rows = [[str(k), _fmt(p)] for k, p in enumerate(result.distribution)]
-        _write_csv(args.output, ["outcome", "probability"], rows)
+        table = np.column_stack([np.arange(len(result.distribution)), result.distribution])
+        _write_csv(args.output, "outcome,probability", table, "%d,%.12e")
     best = round(fraction * 2**args.bits) % 2**args.bits
     ok = abs(result.estimate - best / 2**args.bits) < DEMO_ESTIMATE_TOL
     return 0 if ok else 1
 
 
 def _demo_chain(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    print(f"# seed={args.seed}")
     q = args.links
     if not 1 <= q <= 4:
-        print("error: --links must be 1..4", file=sys.stderr)
-        return 2
+        raise ValueError("--links must be 1..4")
+    rng = np.random.default_rng(args.seed)
+    print(f"# seed={args.seed}")
     nets, states = [], []
     for _ in range(q):
         m = int(rng.integers(1, 4))
@@ -264,11 +248,10 @@ def _demo_chain(args) -> int:
     probe = _random_state(2, rng)
     out = chain_evolve(nets, probe, states, args.nprime_max)
     norm = float(np.linalg.norm(out))
-    # Probe-|0> branch must be the unperturbed tensor evolution.
-    unperturbed = np.array([1.0], dtype=complex)
-    for net, psi in zip(reversed(nets), reversed(states)):
-        u = compile_cycle(net)
-        unperturbed = np.kron(unperturbed, matrix_power_spectral(u, args.nprime_max + q) @ psi)
+    # Probe-|0> branch must be the unperturbed tensor evolution (cycle q leftmost).
+    unperturbed = functools.reduce(
+        np.kron, [evolve(net, psi, args.nprime_max + q) for net, psi in zip(reversed(nets), reversed(states))]
+    )
     branch0 = out[: 4**q]
     residual = float(np.max(np.abs(branch0 - probe[0] * unperturbed)))
     print(f"links={q} n_prime={args.nprime_max} dim={out.shape[0]}")
@@ -285,9 +268,6 @@ def cmd_demo(args) -> int:
         "phase-est": _demo_phase_est,
         "chain": _demo_chain,
     }
-    if args.name not in handlers:
-        print(f"error: unknown demo {args.name!r}", file=sys.stderr)
-        return 2
     return handlers[args.name](args)
 
 

@@ -51,6 +51,13 @@ def evolve(net: CyclicNetwork, psi0, n: int, spectrum: Spectrum | None = None) -
     return matrix_power_spectral(u, n, spectrum) @ psi0
 
 
+def amplitude_series(spectrum: Spectrum, row: int, start, n_max: int) -> np.ndarray:
+    """Amplitudes <row| U^n |start> for n = 0 .. n_max, all from one spectrum of U."""
+    coeffs = spectrum.vectors.conj().T @ start
+    phase_grid = np.exp(1j * np.outer(np.arange(n_max + 1), spectrum.phases))
+    return phase_grid @ (spectrum.vectors[row, :] * coeffs)
+
+
 # ----------------------------------------------------------------------------
 # Closed-form powers of the single-angle rotation pair
 
@@ -239,14 +246,9 @@ def perturbed_amplitude_series(
         raise ValueError("n_prime_max must be non-negative")
     idx = _basis_index(basis)
     spectrum = rotation_pair_spectrum(phi)
-    psi_k = spectrum.vectors[:, k]
-    flipped = np.kron(_EYE2, SIGMA_X) @ psi_k
-    # Amplitude of cyclic basis state (idx - 4) in U^{n'} · flipped, all n' at once.
-    coeffs = spectrum.vectors.conj().T @ flipped
-    row = spectrum.vectors[idx - 4, :]
-    n_primes = np.arange(n_prime_max + 1)
-    phase_grid = np.exp(1j * np.outer(n_primes, spectrum.phases))
-    return phase_grid @ (row * coeffs)
+    flipped = np.kron(_EYE2, SIGMA_X) @ spectrum.vectors[:, k]
+    # Amplitude of cyclic basis state (idx - 4) in U^{n'} · flipped.
+    return amplitude_series(spectrum, idx - 4, flipped, n_prime_max)
 
 
 def closed_form_amplitude(phi: float, k: int, basis: str, n_prime) -> np.ndarray:

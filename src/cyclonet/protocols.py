@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import PerturbationScenario, matrix_power_spectral, perturb
+from .dynamics import PerturbationScenario, amplitude_series, matrix_power_spectral, perturb
 from .gates import CyclicNetwork, compile_cycle
 from .linalg import Spectrum, basis_state, check_state, dense_eigendecomposition
 
@@ -121,6 +121,18 @@ def sensor_run(net: CyclicNetwork, acyclic_bit: int, n_prime: int) -> SensorRead
     probe = (1.0, 0.0) if acyclic_bit == 0 else (0.0, 1.0)
     p = sensor_probability(net, probe, n_prime)
     return SensorReading(p_psi3=p, detected=p < 0.5)
+
+
+def sensor_series(net: CyclicNetwork, acyclic_bit: int, n_prime_max: int) -> np.ndarray:
+    """sensor_run's probability for every n' = 0 .. n_prime_max, from one spectrum.
+
+    A probe bit b leaves the reference state |00> as |0b>, so the
+    probability after n' cycles is |<00| U^n' |0b>|^2.
+    """
+    if acyclic_bit not in (0, 1) or net.qubits != 2 or n_prime_max < 0:
+        raise ValueError("the sensor needs a probe bit 0 or 1, a two-qubit cycle and n_prime_max >= 0")
+    spectrum = dense_eigendecomposition(compile_cycle(net))
+    return np.abs(amplitude_series(spectrum, 0, basis_state(4, acyclic_bit), n_prime_max)) ** 2
 
 
 @dataclass(frozen=True, eq=False)

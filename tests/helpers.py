@@ -87,6 +87,22 @@ def stepwise_perturb_oracle(scenario):
     return full
 
 
+def stepwise_sensor_oracle(net, bit, n_prime_max):
+    """Time-stepped 8-dim sensor run: P(cycle in |00>) after each of n' = 0..n_prime_max cycles.
+
+    The cycle starts in |00>, the probe (in |bit>) controls a flip of the
+    bottom loop qubit, and the joint state is then stepped one cycle at a time.
+    """
+    full = np.kron(np.eye(2, dtype=complex)[bit], np.eye(4, dtype=complex)[0])
+    full = (np.kron(P0, np.eye(4, dtype=complex)) + np.kron(P1, np.kron(EYE2, SX))) @ full
+    step = np.kron(EYE2, compile_cycle(net))
+    probabilities = np.empty(n_prime_max + 1)
+    for n in range(n_prime_max + 1):
+        probabilities[n] = abs(full[0]) ** 2 + abs(full[4]) ** 2
+        full = step @ full
+    return probabilities
+
+
 def stepwise_chain_oracle(nets, probe, states, n_prime):
     """Time-stepped chain simulation with explicit 2*4^q operators.
 

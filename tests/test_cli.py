@@ -174,13 +174,26 @@ class TestErrorExits:
     """Invalid arguments and unusable paths end in one stderr line and exit code 2."""
 
     def check_error(self, capsys, argv, fragment):
+        """Assert exit 2 with one stderr line naming fragment; return stdout."""
         assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and fragment in err
-        assert len(err.splitlines()) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and fragment in captured.err
+        assert len(captured.err.splitlines()) == 1
+        return captured.out
 
     def test_memory_negative_cycles(self, capsys):
         self.check_error(capsys, ["demo", "memory", "--cycles", "-5"], "non-negative")
+
+    def test_chain_bad_links(self, capsys):
+        assert self.check_error(capsys, ["demo", "chain", "--links", "5"], "--links") == ""
+
+    @pytest.mark.parametrize("phase", ["1/0", "half"])
+    def test_bad_phase(self, capsys, phase):
+        assert self.check_error(capsys, ["demo", "phase-est", "--phase", phase], "--phase") == ""
+
+    def test_bad_alpha_family(self, tmp_path, capsys):
+        argv = ["figure", "nu0-sweep", "--alpha-family", "x", "--output", str(tmp_path / "x.csv")]
+        assert self.check_error(capsys, argv, "--alpha-family") == ""
 
     @pytest.mark.parametrize(
         "argv",
@@ -193,7 +206,8 @@ class TestErrorExits:
     )
     def test_unwritable_output(self, tmp_path, capsys, argv):
         missing = str(tmp_path / "no-such-dir" / "out.csv")
-        self.check_error(capsys, argv + ["--output", missing], "no-such-dir")
+        # The path is tried before any work, so nothing reaches stdout.
+        assert self.check_error(capsys, argv + ["--output", missing], "no-such-dir") == ""
 
 
 # sha256 of the CSVs these arguments wrote before the spectral layer was
@@ -204,6 +218,15 @@ GOLDEN_SHA256 = {
         "376e326d6fee7943cdbffca568299167b0a3939570615e0604e1e4657a6b48ed",
     ("demo", "sensor"): "1169a233270c85e54b32ab28f1f265ae849881ef2417d46bb7325f82298ab910",
     ("demo", "phase-est"): "7c206615156b4b8aedf5670863d73738489db7248439aca0e46b64ac9bd76734",
+    # Recorded before the CLI wrote CSVs from arrays: bit 0 of the sensor, a
+    # pert-series longer than one write chunk with non-default basis and
+    # eigenstate, and a custom nu0 grid and alpha family.
+    ("demo", "sensor", "--bit", "0", "--nprime-max", "1000"):
+        "23f2fac83fa79b294ef8f8ce7e0f1b2fe9653023658387642e7817a56460f96b",
+    ("figure", "pert-series", "--nu1", "1.1", "--basis", "101", "--eigenstate", "2", "--nprime-max", "40000"):
+        "284ec40c70a106d58adc1ba144654ddcd3de25c7a169c932560289a006c502bb",
+    ("figure", "nu0-sweep", "--grid-step", "0.05", "--alpha-family", "0.1,-0.7"):
+        "4b0fc432e1e255dcc35e376bf64addac7673f7f6f2bb6e0fbe36dcf47f84e3ab",
 }
 
 
@@ -269,16 +292,9 @@ class TestDemos:
 
     def test_fallback_env_validated(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("CYCLONET_FALLBACK", "bogus")
-        with pytest.raises(SystemExit, match="CYCLONET_FALLBACK"):
-            main(
-                [
-                    "figure",
-                    "pert-series",
-                    "--output",
-                    str(tmp_path / "x.csv"),
-                    "--nu1",
-                    repr(np.pi / 4),
-                    "--nprime-max",
-                    "5",
-                ]
-            )
+        argv = ["figure", "pert-series", "--output", str(tmp_path / "x.csv"), "--nu1", repr(np.pi / 4)]
+        assert main([*argv, "--nprime-max", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: CYCLONET_FALLBACK")
+        assert len(captured.err.splitlines()) == 1

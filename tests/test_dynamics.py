@@ -7,10 +7,12 @@ from cyclonet import (
     DegenerateSpectrumError,
     PerturbationScenario,
     alternating_pair_network,
+    amplitude_series,
     basis_state,
     chain_evolve,
     closed_form_amplitude,
     compile_cycle,
+    dense_eigendecomposition,
     evolve,
     haar_unitary,
     matrix_power_direct,
@@ -264,6 +266,19 @@ class TestPerturb:
 
 
 class TestAmplitudeSeries:
+    def test_generic_series_matches_stepped_powers(self):
+        rng = np.random.default_rng(17)
+        u = haar_unitary(4, rng)
+        spectrum = dense_eigendecomposition(u)
+        start = random_state(4, rng)
+        stepped = [start]
+        for _ in range(300):
+            stepped.append(u @ stepped[-1])
+        stepped = np.array(stepped)
+        for row in range(4):
+            series = amplitude_series(spectrum, row, start, 300)
+            assert np.max(np.abs(series - stepped[:, row])) < 1e-10
+
     def test_reference_component_constant(self):
         phi = nu1_to_phi(np.pi / 4)
         spec = rotation_pair_spectrum(phi)

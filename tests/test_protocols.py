@@ -6,6 +6,7 @@ import pytest
 from cyclonet import (
     CyclicNetwork,
     DiagonalLayer,
+    SingleQubit,
     alternating_pair_network,
     compile_cycle,
     cycle_applications,
@@ -19,9 +20,10 @@ from cyclonet import (
     rotation_pair_spectrum,
     sensor_probability,
     sensor_run,
+    sensor_series,
 )
 
-from helpers import random_alternating_network, random_state
+from helpers import random_alternating_network, random_state, stepwise_sensor_oracle
 
 
 def diagonal_phase_network(fraction: float) -> tuple[CyclicNetwork, int]:
@@ -120,6 +122,48 @@ class TestSensor:
     def test_bad_bit_rejected(self):
         with pytest.raises(ValueError):
             sensor_run(alternating_pair_network(1.0), 2, 10)
+
+    @pytest.mark.parametrize("bit", [0, 1])
+    @pytest.mark.parametrize("phi", [-7.0, -2.5, 0.3, 1.2, 3.0, 6.9])
+    def test_series_matches_stepwise_oracle(self, bit, phi):
+        net = alternating_pair_network(phi)
+        series = sensor_series(net, bit, 1000)
+        assert series.shape == (1001,)
+        assert np.max(np.abs(series - stepwise_sensor_oracle(net, bit, 1000))) < 1e-10
+        # The CSV prints these with %.12e: exactly 0 for probe 1, 1 to 12 digits for probe 0.
+        if bit == 1:
+            assert not np.any(series)
+        else:
+            assert np.max(np.abs(series - 1.0)) < 1e-13
+
+    @pytest.mark.parametrize("bit", [0, 1])
+    def test_series_matches_stepwise_oracle_off_block_form(self, bit):
+        # A single-qubit gate mixes |00> into the active block, so the
+        # probability moves with n' and the series is checked entry by entry.
+        net = CyclicNetwork(2, (*alternating_pair_network(0.9).gates, SingleQubit(2, 0.3, 0.7, -0.2, 0.1)))
+        series = sensor_series(net, bit, 1000)
+        oracle = stepwise_sensor_oracle(net, bit, 1000)
+        assert np.ptp(oracle) > 0.1
+        assert np.max(np.abs(series - oracle)) < 1e-10
+
+    def test_series_agrees_with_sensor_run(self):
+        net = alternating_pair_network(0.8)
+        for bit in (0, 1):
+            series = sensor_series(net, bit, 40)
+            for n_prime in (0, 1, 17, 40):
+                assert abs(series[n_prime] - sensor_run(net, bit, n_prime).p_psi3) < 1e-12
+
+    @pytest.mark.parametrize(
+        "net, bit, n_prime_max",
+        [
+            (alternating_pair_network(1.0), 2, 10),
+            (alternating_pair_network(1.0), 1, -1),
+            (CyclicNetwork(1, (SingleQubit(1, 0.0, 0.7, 0.0, 0.0),)), 1, 10),
+        ],
+    )
+    def test_series_rejects_bad_input(self, net, bit, n_prime_max):
+        with pytest.raises(ValueError):
+            sensor_series(net, bit, n_prime_max)
 
     def test_superposed_probe_gives_partial_weight(self):
         # General probe input is exposed; only the basis cases are protocol
