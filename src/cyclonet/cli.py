@@ -13,27 +13,23 @@ Subcommands:
 
 Each command takes its numbers as arrays from the library and writes them
 with one %-format per row (%d counts, %.12e values); the CSV is
-byte-identical for identical arguments (and seed).  The environment
-variable CYCLONET_FALLBACK (oracle|error) selects whether degenerate
-closed-form spectra silently fall back to the dense eigendecomposition or
-abort.  Invalid input files or arguments (--phase, --alpha-family and
-CYCLONET_FALLBACK included) and unwritable output paths print one "error:"
-line on stderr and exit with code 2; an output path is tried before any
-work is done.
+byte-identical for identical arguments (and seed).  Invalid input files or
+arguments (--phase and --alpha-family included) and unwritable output
+paths print one "error:" line on stderr and exit with code 2; an output
+path is tried before any work is done.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 from fractions import Fraction
 
 import numpy as np
 
 from . import protocols
-from .dynamics import chain_evolve, closed_form_amplitude, evolve, nu1_to_phi, perturbed_amplitude_series
+from .dynamics import chain_evolve, closed_form_amplitude, nu1_to_phi, perturbed_amplitude_series
 from .gates import (
     ControlDown,
     ControlUp,
@@ -46,20 +42,13 @@ from .gates import (
 )
 from .group import classify
 from .linalg import DEMO_ESTIMATE_TOL, DEMO_FIDELITY_TOL, DEMO_RESIDUAL_TOL
-from .linalg import dense_eigendecomposition, unitarity_defect
-from .spectral import DegenerateSpectrumError, alternating_pair_root, check_fallback
+from .linalg import dense_eigendecomposition, matrix_power_direct, unitarity_defect
+from .spectral import DegenerateSpectrumError, alternating_pair_root
 
 DEFAULT_ALPHA_FAMILY = tuple(
     sorted([0.0, np.pi / 6, -np.pi / 6, np.pi / 4, -np.pi / 4, np.pi / 3, -np.pi / 3, np.pi / 2, -np.pi / 2])
 )
 _CHUNK_ROWS = 1 << 14  # table rows formatted per write
-
-
-def _fallback_policy() -> str:
-    try:
-        return check_fallback(os.environ.get("CYCLONET_FALLBACK", "oracle"))
-    except ValueError as exc:
-        raise ValueError(f"CYCLONET_FALLBACK: {exc}") from None
 
 
 def _check_output(path: str | None) -> None:
@@ -118,15 +107,10 @@ def cmd_figure(args) -> int:
     if args.name == "nu0-sweep":
         if args.grid_step <= 0:
             raise ValueError("--grid-step must be positive")
-        policy = _fallback_policy()
         alphas = _parse_alpha_family(args.alpha_family)
         _check_output(args.output)
         phis = np.arange(0.0, 2.0 * np.pi, args.grid_step)
-        try:
-            nu0 = [np.angle(alternating_pair_root(alpha, phi, policy)) for alpha in alphas for phi in phis]
-        except DegenerateSpectrumError as exc:
-            print(f"error: degenerate spectrum: {exc}", file=sys.stderr)
-            return 1
+        nu0 = [np.angle(alternating_pair_root(alpha, phi)) for alpha in alphas for phi in phis]
         table = np.column_stack([np.repeat(alphas, len(phis)), np.tile(phis, len(alphas)), nu0])
         _write_csv(args.output, "alpha,phi,nu0", table, "%.12e,%.12e,%.12e")
         print(f"wrote {len(table)} rows to {args.output}")
@@ -136,7 +120,6 @@ def cmd_figure(args) -> int:
             raise ValueError("pert-series requires --nu1")
         if not 0 < args.nprime_max <= 1_000_000:
             raise ValueError("--nprime-max must be in 1..10^6")
-        _fallback_policy()  # validate the env var even though this figure has no oracle route
         _check_output(args.output)
         try:
             phi = nu1_to_phi(args.nu1)
@@ -175,6 +158,8 @@ def _random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _demo_memory(args) -> int:
+    if args.cycles < 0:
+        raise ValueError("--cycles must be non-negative")
     rng = np.random.default_rng(args.seed)
     print(f"# seed={args.seed}")
     net = alternating_pair_network(args.phi)
@@ -248,16 +233,19 @@ def _demo_chain(args) -> int:
     probe = _random_state(2, rng)
     out = chain_evolve(nets, probe, states, args.nprime_max)
     norm = float(np.linalg.norm(out))
-    # Probe-|0> branch must be the unperturbed tensor evolution (cycle q leftmost).
-    unperturbed = functools.reduce(
-        np.kron, [evolve(net, psi, args.nprime_max + q) for net, psi in zip(reversed(nets), reversed(states))]
-    )
+    # Probe-|0> branch must be the unperturbed tensor evolution (cycle q leftmost),
+    # here from binary-exponentiation powers, not the spectral route chain_evolve takes.
+    n = args.nprime_max + q
+    links = zip(reversed(nets), reversed(states))
+    unperturbed = functools.reduce(np.kron, [matrix_power_direct(compile_cycle(net), n) @ psi for net, psi in links])
     branch0 = out[: 4**q]
     residual = float(np.max(np.abs(branch0 - probe[0] * unperturbed)))
     print(f"links={q} n_prime={args.nprime_max} dim={out.shape[0]}")
     print(f"norm={norm:.12f}")
     print(f"unperturbed-branch residual={residual:.3e}")
-    ok = abs(norm - 1.0) < DEMO_RESIDUAL_TOL and residual < DEMO_RESIDUAL_TOL
+    # Spectral powers drift from repeated squaring like n·eps (README, "Numerical tolerances").
+    residual_tol = DEMO_RESIDUAL_TOL + 16 * n * np.finfo(float).eps
+    ok = abs(norm - 1.0) < DEMO_RESIDUAL_TOL and residual < residual_tol
     return 0 if ok else 1
 
 

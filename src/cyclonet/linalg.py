@@ -98,15 +98,6 @@ def basis_state(dim: int, index: int) -> np.ndarray:
     return v
 
 
-def apply(u, v) -> np.ndarray:
-    """Apply a unitary to a state vector: U·v."""
-    u = as_matrix(u)
-    v = as_state(v)
-    if u.shape[0] != v.shape[0]:
-        raise ValueError(f"dimension mismatch: matrix {u.shape[0]}, state {v.shape[0]}")
-    return u @ v
-
-
 def matrix_power_direct(u, n: int) -> np.ndarray:
     """U^n by repeated multiplication (binary exponentiation), n >= 0.
 

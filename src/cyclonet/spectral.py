@@ -42,13 +42,6 @@ class CubicCoefficients:
     w: complex
 
 
-def check_fallback(fallback: str) -> str:
-    """Return the fallback policy name, raising ValueError unless it is 'oracle' or 'error'."""
-    if fallback not in ("oracle", "error"):
-        raise ValueError(f"unknown fallback policy {fallback!r}; expected 'oracle' or 'error'")
-    return fallback
-
-
 def _cardano(a1, a2, a3) -> CubicCoefficients:
     """Depressed-cubic intermediates q, p and the Cardano radicand root w."""
     q = (9.0 * a1 * a2 - 27.0 * a3 - 2.0 * a1**3) / 27.0
@@ -167,19 +160,16 @@ def _cofactor_eigenstates(g: np.ndarray, eigenvalues) -> Spectrum:
     return Spectrum(phases=phases, vectors=vectors, normalizations=norms)
 
 
-def spectrum_closed_form(g, fallback: str = "oracle") -> Spectrum:
+def spectrum_closed_form(g) -> Spectrum:
     """Spectrum of a block-form cycle via the cubic + cofactor route.
 
-    fallback='oracle' silently switches to the dense eigendecomposition on a
-    degenerate spectrum (logged); fallback='error' re-raises instead.
+    On a degenerate spectrum it falls back to the dense eigendecomposition
+    (logged); solve_cubic and block_form_eigenstates raise instead.
     """
-    check_fallback(fallback)
     g = check_block_form(g)
     try:
         return _cofactor_eigenstates(g, solve_cubic(_block_cubic(g[1:, 1:])))
     except DegenerateSpectrumError as exc:
-        if fallback == "error":
-            raise
         log.warning("closed-form spectrum degenerate (%s); falling back to dense oracle", exc)
         return dense_eigendecomposition(g)
 
@@ -194,23 +184,19 @@ def alternating_pair_trace(alpha: float, phi: float) -> complex:
     return complex(np.exp(-2j * alpha) * c * c + 2.0 * np.exp(1j * alpha) * c)
 
 
-def alternating_pair_root(alpha: float, phi: float, fallback: str = "oracle") -> complex:
+def alternating_pair_root(alpha: float, phi: float) -> complex:
     """The k = 0 Cardano branch root of the alternating pair's cubic.
 
     Near a root collision the closed form keeps only about half the digits;
-    with fallback='oracle' the branch-0 estimate is then snapped to the
-    closest dense-oracle eigenvalue of the compiled pair network, while
-    fallback='error' re-raises DegenerateSpectrumError.
+    the branch-0 estimate is then snapped to the closest dense-oracle
+    eigenvalue of the compiled pair network.
     """
-    check_fallback(fallback)
     # Unit-determinant block: a1 = -tr, a2 = conj(tr), a3 = -1.
     a = alternating_pair_trace(alpha, phi)
     coeffs = _cardano(-a, np.conj(a), -1.0 + 0.0j)
     try:
         return complex(solve_cubic(coeffs)[0])
     except DegenerateSpectrumError:
-        if fallback == "error":
-            raise
         from .gates import alternating_pair_network, compile_cycle
 
         estimate = _cardano_roots(coeffs.w, coeffs.p, coeffs.a1)[0]
@@ -232,9 +218,7 @@ class AlternatingPairAnalysis:
     eigenvalues: np.ndarray  # lambda_k = root0(alpha - 2 pi k/3, phi) e^{2 pi i k/3}
 
 
-def alternating_su3_analysis(
-    alpha: float, phi: float, fallback: str = "oracle"
-) -> AlternatingPairAnalysis:
+def alternating_su3_analysis(alpha: float, phi: float) -> AlternatingPairAnalysis:
     """Eigenvalues of the alternating pair via the third-turn shift of the k=0 root.
 
     Each lambda_k is the k = 0 branch evaluated at alpha - 2 pi k/3 and
@@ -243,7 +227,7 @@ def alternating_su3_analysis(
     """
     lams = np.array(
         [
-            alternating_pair_root(alpha - k * THIRD_TURN, phi, fallback) * np.exp(1j * k * THIRD_TURN)
+            alternating_pair_root(alpha - k * THIRD_TURN, phi) * np.exp(1j * k * THIRD_TURN)
             for k in range(3)
         ],
         dtype=complex,

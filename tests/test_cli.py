@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from cyclonet import Spectrum, dynamics
 from cyclonet.cli import main
 
 
@@ -182,7 +183,7 @@ class TestErrorExits:
         return captured.out
 
     def test_memory_negative_cycles(self, capsys):
-        self.check_error(capsys, ["demo", "memory", "--cycles", "-5"], "non-negative")
+        assert self.check_error(capsys, ["demo", "memory", "--cycles", "-5"], "--cycles") == ""
 
     def test_chain_bad_links(self, capsys):
         assert self.check_error(capsys, ["demo", "chain", "--links", "5"], "--links") == ""
@@ -268,6 +269,20 @@ class TestDemos:
         out = capsys.readouterr().out
         assert "norm=1.0000" in out
 
+    def test_chain_residual_catches_skewed_spectral_powers(self, monkeypatch, capsys):
+        # Every spectral power with its phases scaled by 1 + 1e-6 stays unitary,
+        # so only a reference branch taken by another route can notice.
+        spectral_power = dynamics.matrix_power_spectral
+
+        def skewed(u, n, spectrum):
+            return spectral_power(u, n, Spectrum(spectrum.phases * (1 + 1e-6), spectrum.vectors))
+
+        monkeypatch.setattr(dynamics, "matrix_power_spectral", skewed)
+        assert main(["demo", "chain", "--links", "2", "--nprime-max", "300", "--seed", "5"]) == 1
+        out = capsys.readouterr().out
+        assert "norm=1.0000" in out
+        assert float(out.split("residual=")[1]) > 1e-6
+
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
@@ -289,12 +304,3 @@ class TestDemos:
         )
         assert rc == 1
         assert "degenerate" in capsys.readouterr().err
-
-    def test_fallback_env_validated(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("CYCLONET_FALLBACK", "bogus")
-        argv = ["figure", "pert-series", "--output", str(tmp_path / "x.csv"), "--nu1", repr(np.pi / 4)]
-        assert main([*argv, "--nprime-max", "5"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: CYCLONET_FALLBACK")
-        assert len(captured.err.splitlines()) == 1

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from cyclonet import (
-    apply,
-    basis_state,
     compile_cycle,
     control_down_matrix,
     dense_eigendecomposition,
@@ -14,36 +12,6 @@ from cyclonet import (
     alternating_pair_network,
     unitarity_defect,
 )
-
-SX = np.array([[0, 1], [1, 0]], dtype=complex)
-
-
-class TestApply:
-    def test_identity(self):
-        v = np.array([0.5, 0.5, 0.5, 0.5], dtype=complex)
-        np.testing.assert_allclose(apply(np.eye(4), v), v, atol=1e-15)
-
-    def test_bit_flip_on_top_qubit(self):
-        u = np.kron(SX, np.eye(2))
-        np.testing.assert_allclose(apply(u, basis_state(4, 0)), basis_state(4, 2), atol=1e-15)
-
-    def test_control_down_quarter_block(self):
-        # Block [[0,1],[-1,0]] on |10>,|11>: maps |10> to -|11>.
-        g = control_down_matrix(0.0, np.pi / 2, 0.0, 0.0)
-        np.testing.assert_allclose(apply(g, basis_state(4, 2)), -basis_state(4, 3), atol=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            apply(np.eye(4), basis_state(2, 0))
-
-    def test_norm_preserved_many_draws(self):
-        rng = np.random.default_rng(101)
-        for _ in range(1000):
-            dim = int(rng.choice([2, 4, 8]))
-            u = haar_unitary(dim, rng)
-            v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-            v /= np.linalg.norm(v)
-            assert abs(np.linalg.norm(apply(u, v)) - 1.0) < 1e-10
 
 
 class TestMatrixPowerDirect:

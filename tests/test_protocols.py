@@ -1,5 +1,7 @@
 """Memory, sensor, and phase-estimation protocols."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,12 +9,14 @@ from cyclonet import (
     CyclicNetwork,
     DiagonalLayer,
     SingleQubit,
+    Spectrum,
     alternating_pair_network,
     compile_cycle,
     cycle_applications,
     dense_eigendecomposition,
     inverse_cycle_operator,
     matrix_power_direct,
+    matrix_power_spectral,
     memory_retrieve,
     memory_store,
     phase_estimation_demo,
@@ -93,6 +97,25 @@ class TestMemory:
             counts.append(cycle_applications())
         assert counts[0] == counts[1] == counts[2]
         assert counts[0] <= 4
+
+    def test_stored_spectrum_powers_match_binary_exponentiation(self):
+        # memory_retrieve builds U^n and U^-n from one spectrum, so its fidelity
+        # is 1 even for a wrong spectrum; this check compares against another route.
+        def power_error(record, n):
+            spectral = matrix_power_spectral(record.cycle_matrix, n, record.spectrum) @ record.state
+            return np.max(np.abs(spectral - matrix_power_direct(record.cycle_matrix, n) @ record.state))
+
+        rng = np.random.default_rng(86)
+        nets = [alternating_pair_network(1.2)] + [random_alternating_network(rng) for _ in range(5)]
+        for net in nets:
+            record = memory_store(net, random_state(4, rng))
+            spectrum = record.spectrum
+            skewed = replace(record, spectrum=Spectrum(spectrum.phases * (1 + 1e-6), spectrum.vectors))
+            for n in (1, 10**3, 10**5):
+                bound = 1e-12 + 16 * n * np.finfo(float).eps
+                assert power_error(record, n) <= bound
+                assert power_error(skewed, n) > bound
+                assert abs(np.vdot(skewed.state, memory_retrieve(skewed, n))) > 1 - 1e-9
 
     def test_negative_cycle_count_rejected(self):
         rng = np.random.default_rng(85)

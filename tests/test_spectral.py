@@ -176,13 +176,12 @@ class TestBlockFormEigenstates:
     def test_spectrum_closed_form_fallback_policy(self):
         # Identity cycle is fully degenerate: the closed-form route must defer.
         g = np.eye(4, dtype=complex)
-        spec = spectrum_closed_form(g, fallback="oracle")
+        spec = spectrum_closed_form(g)
         np.testing.assert_allclose(spec.phases, np.zeros(4), atol=1e-12)
+        # The strict closed form still raises where spectrum_closed_form falls back.
         degenerate = compile_cycle(CyclicNetwork(2, (ControlDown(phi=np.pi),)))
         with pytest.raises(DegenerateSpectrumError):
-            spectrum_closed_form(degenerate, fallback="error")
-        with pytest.raises(ValueError, match="fallback"):
-            spectrum_closed_form(g, fallback="maybe")
+            block_form_eigenstates(degenerate, solve_cubic(cubic_coefficients(degenerate[1:, 1:])))
 
 
 class TestAlternatingPair:
@@ -259,14 +258,12 @@ class TestAlternatingPair:
         # Exactly at phi = 2 pi the active block has a double eigenvalue and
         # both Cardano branches lose the unimodularity gate.
         alpha, phi = 0.2243994752564138, 2 * np.pi
-        with pytest.raises(DegenerateSpectrumError):
-            alternating_pair_root(alpha, phi, fallback="error")
-        snapped = alternating_pair_root(alpha, phi, fallback="oracle")
         g = compile_cycle(alternating_pair_network(phi, alpha=alpha))
+        with pytest.raises(DegenerateSpectrumError):
+            solve_cubic(cubic_coefficients(g[1:, 1:]))
+        snapped = alternating_pair_root(alpha, phi)
         oracle = dense_eigendecomposition(g[1:, 1:]).eigenvalues()
         assert np.min(np.abs(oracle - snapped)) < 1e-12
-        with pytest.raises(ValueError, match="fallback"):
-            alternating_pair_root(alpha, phi, fallback="maybe")
 
     def test_conjugation_symmetry(self):
         for alpha in np.linspace(0, np.pi, 15):
