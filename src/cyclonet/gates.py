@@ -19,6 +19,7 @@ canonical range reduction is applied.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import MISSING, dataclass, fields
@@ -32,6 +33,7 @@ TWO_LEVEL_PAIRS = ((3, 4), (2, 3), (2, 4), (1, 2), (1, 3), (1, 4))
 EXTENDED_PAIRS = ((2, 4), (3, 4))
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+_EYE4 = np.eye(4, dtype=complex)  # copied, never written
 
 
 # ----------------------------------------------------------------------------
@@ -51,28 +53,33 @@ def _check_cnot_lines(control: int, target: int) -> None:
 
 
 def u2_matrix(alpha: float, phi: float, beta: float, delta: float = 0.0) -> np.ndarray:
-    """General 2x2 unitary with determinant e^{2i delta}."""
-    c, s = np.cos(phi), np.sin(phi)
-    return np.exp(1j * delta) * np.array(
+    """General 2x2 unitary with determinant e^{2i delta}.
+
+    Entries use scalar math/cmath (the bits of numpy's scalar ufuncs, cheaper) with
+    c and s complex, so each entry is a full complex product as in numpy (Python
+    3.14 multiplies complex by float part-wise).  The e^{i delta} factor stays a
+    numpy array product, which rounds unlike a scalar one.
+    """
+    c, s = complex(math.cos(phi)), complex(math.sin(phi))
+    return cmath.exp(1j * delta) * np.array(
         [
-            [np.exp(1j * alpha) * c, np.exp(1j * beta) * s],
-            [-np.exp(-1j * beta) * s, np.exp(-1j * alpha) * c],
+            [cmath.exp(1j * alpha) * c, cmath.exp(1j * beta) * s],
+            [-cmath.exp(-1j * beta) * s, cmath.exp(-1j * alpha) * c],
         ]
     )
 
 
 def control_down_matrix(alpha: float, phi: float, beta: float, delta: float = 0.0) -> np.ndarray:
     """Controlled U(2) with control on the top loop; block acts on |10>,|11>."""
-    g = np.eye(4, dtype=complex)
+    g = _EYE4.copy()
     g[2:, 2:] = u2_matrix(alpha, phi, beta, delta)
     return g
 
 
 def control_up_matrix(alpha: float, phi: float, beta: float, delta: float = 0.0) -> np.ndarray:
     """Controlled U(2) with control on the bottom loop; block acts on |01>,|11>."""
-    g = np.eye(4, dtype=complex)
-    idx = np.ix_((1, 3), (1, 3))
-    g[idx] = u2_matrix(alpha, phi, beta, delta)
+    g = _EYE4.copy()
+    g[1::2, 1::2] = u2_matrix(alpha, phi, beta, delta)
     return g
 
 
@@ -91,9 +98,9 @@ def two_level_matrix(
     only defined for pairs (2,4) and (3,4).
     """
     _check_two_level(p, r, gamma_p, gamma_r)
-    g = np.eye(4, dtype=complex)
-    idx = np.ix_((p - 1, r - 1), (p - 1, r - 1))
-    g[idx] = u2_matrix(0.0, phi, beta, 0.0)
+    g = _EYE4.copy()
+    levels = slice(p - 1, r, r - p)  # rows and columns p and r, as a basic slice
+    g[levels, levels] = u2_matrix(0.0, phi, beta, 0.0)
     if gamma_p != 0.0 or gamma_r != 0.0:
         d = np.ones(4, dtype=complex)
         d[p - 1] = np.exp(1j * gamma_p)
@@ -273,7 +280,7 @@ class CyclicNetwork:
 def compile_cycle(net: CyclicNetwork) -> np.ndarray:
     """Per-cycle unitary of a network: product of gate matrices in reverse list order."""
     dim = 2**net.qubits
-    u = np.eye(dim, dtype=complex)
+    u = _EYE4[:dim, :dim].copy()
     for gate in net.gates:
         u = gate_matrix(gate, net.qubits) @ u
     return check_unitary(u)

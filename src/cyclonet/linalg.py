@@ -9,6 +9,7 @@ validated against.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,7 @@ TRACE_SLACK = 1e-9  # slack on the real-trace range [-1, 3] of a rotation block
 GIMBAL_TOL = 1e-9  # sine of the middle Euler angle below which extraction takes the gimbal case
 TABLE_SINGULAR_TOL = 1e-6  # distance from sin phi = 0 or cos phi = -1 where the power table is singular
 DEMO_FIDELITY_TOL = 1e-9  # CLI memory demo: largest fidelity shortfall from 1
-DEMO_RESIDUAL_TOL = 1e-10  # CLI sensor and chain demos: largest probability, norm or branch residual
+DEMO_RESIDUAL_TOL = 1e-10  # CLI sensor, chain and memory demos: probability, norm, branch or spectral-power residual
 DEMO_ESTIMATE_TOL = 1e-12  # CLI phase-estimation demo: largest error of the t-bit estimate
 
 
@@ -48,7 +49,9 @@ def as_state(v) -> np.ndarray:
 def unitarity_defect(u) -> float:
     """Largest absolute entry of U†U − I."""
     u = as_matrix(u)
-    return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
+    gram = u.conj().T @ u
+    gram.ravel()[:: u.shape[0] + 1] -= 1.0  # the diagonal of the fresh C-ordered product
+    return float(np.abs(gram).max())
 
 
 def check_unitary(u) -> np.ndarray:
@@ -64,8 +67,9 @@ def check_unitary(u) -> np.ndarray:
 
 def is_block_form(g: np.ndarray) -> bool:
     """Whether |00> is inert: the first row and column equal e1 within MEMBERSHIP_TOL."""
-    e1 = np.eye(g.shape[0])[0]
-    return bool(np.abs(g[0, :] - e1).max() <= MEMBERSHIP_TOL and np.abs(g[:, 0] - e1).max() <= MEMBERSHIP_TOL)
+    edge = np.concatenate((g[0, :], g[1:, 0]))
+    edge[0] -= 1.0
+    return bool(np.abs(edge).max() <= MEMBERSHIP_TOL)
 
 
 def check_block_form(g) -> np.ndarray:
@@ -130,13 +134,11 @@ class Spectrum:
         return np.exp(1j * self.phases)
 
 
-def _canonical_vector_phase(v: np.ndarray) -> np.ndarray:
-    """Rotate a vector's global phase so its largest-magnitude entry is real positive."""
-    k = int(np.argmax(np.abs(v)))
-    mag = abs(v[k])
-    if mag < PHASE_FLOOR:
-        return v
-    return v * (v[k].conjugate() / mag)
+@functools.cache
+def _schur_lwork(dim: int) -> int:
+    """Optimal zgees workspace for a dim x dim matrix, which scipy would otherwise query on every call."""
+    gees = scipy.linalg.get_lapack_funcs("gees", dtype=complex)
+    return int(gees(lambda x: None, np.eye(dim, dtype=complex), lwork=-1)[-2][0].real)
 
 
 def dense_eigendecomposition(u) -> Spectrum:
@@ -146,17 +148,18 @@ def dense_eigendecomposition(u) -> Spectrum:
     phase of each (canonicalized) eigenvector's leading nonzero entry.  The
     Schur route keeps eigenvectors orthonormal even for degenerate spectra.
     """
-    u = check_unitary(u)
-    t, z = scipy.linalg.schur(u, output="complex")
+    u = check_unitary(u)  # finite from here on, so schur need not check again
+    t, z = scipy.linalg.schur(u, output="complex", lwork=_schur_lwork(u.shape[0]), check_finite=False)
     phases = np.angle(np.diag(t))
-    vectors = np.array([_canonical_vector_phase(z[:, k]) for k in range(u.shape[0])]).T
-
-    def leading_phase(k: int) -> float:
-        col = vectors[:, k]
-        nonzero = np.flatnonzero(np.abs(col) > ZERO_TOL)
-        return float(np.angle(col[nonzero[0]])) if nonzero.size else 0.0
-
-    order = sorted(range(u.shape[0]), key=lambda k: (phases[k], leading_phase(k)))
+    # Rotate each column's global phase so its largest-magnitude entry is real positive.
+    cols = np.arange(u.shape[0])
+    lead = z[np.abs(z).argmax(axis=0), cols]
+    mag = np.hypot(lead.real, lead.imag)
+    vectors = z * np.divide(lead.conj(), mag, out=np.ones_like(lead), where=mag >= PHASE_FLOOR)
+    # Order by phase, ties broken by the phase of each vector's leading nonzero entry.
+    nonzero = np.abs(vectors) > ZERO_TOL
+    leading = np.where(nonzero.any(axis=0), np.angle(vectors[nonzero.argmax(axis=0), cols]), 0.0)
+    order = np.lexsort((leading, phases))
     return Spectrum(phases=phases[order], vectors=vectors[:, order])
 
 

@@ -164,13 +164,14 @@ def spectrum_closed_form(g) -> Spectrum:
     """Spectrum of a block-form cycle via the cubic + cofactor route.
 
     On a degenerate spectrum it falls back to the dense eigendecomposition
-    (logged); solve_cubic and block_form_eigenstates raise instead.
+    (the reason is logged at DEBUG); solve_cubic and block_form_eigenstates
+    raise instead.
     """
     g = check_block_form(g)
     try:
         return _cofactor_eigenstates(g, solve_cubic(_block_cubic(g[1:, 1:])))
     except DegenerateSpectrumError as exc:
-        log.warning("closed-form spectrum degenerate (%s); falling back to dense oracle", exc)
+        log.debug("closed-form spectrum degenerate (%s); falling back to dense oracle", exc)
         return dense_eigendecomposition(g)
 
 

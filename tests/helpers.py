@@ -12,10 +12,16 @@ import numpy as np
 
 from cyclonet import (
     ControlDown,
+    ControlNot,
     ControlUp,
     CyclicNetwork,
+    DiagonalLayer,
+    NotGate,
+    SingleQubit,
+    TwoLevel,
     compile_cycle,
 )
+from cyclonet.gates import EXTENDED_PAIRS, TWO_LEVEL_PAIRS
 
 EYE2 = np.eye(2, dtype=complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -56,6 +62,71 @@ def random_alternating_network(rng, kind="u3", min_gates=2, max_gates=6):
         deltas[-1] = -np.sum(deltas[:-1])
         gates = [type(g)(g.alpha, g.phi, g.beta, float(d)) for g, d in zip(gates, deltas)]
     return CyclicNetwork(2, tuple(gates))
+
+
+# Angles where a last-bit change in gate building shows first: signed zeros,
+# multiples of pi/2 and magnitudes below half an ulp of 1.
+EDGE_ANGLES = (0.0, -0.0, np.pi, -np.pi, np.pi / 2, -np.pi / 2, 1e-17, -1e-17)
+# Two-level pairs that leave level 1 (|00>) untouched.
+INERT_PAIRS = ((3, 4), (2, 3), (2, 4))
+
+
+def _battery_angle(rng):
+    if rng.random() < 0.5:
+        return float(EDGE_ANGLES[rng.integers(len(EDGE_ANGLES))])
+    return float(rng.uniform(-np.pi, np.pi))
+
+
+def random_gate(rng, qubits, inert_00=False):
+    """One gate of any kind that fits a network of this width.
+
+    inert_00 keeps |00> untouched (control gates, two-level gates off level 1
+    and diagonal layers with gamma1 = 0), so the network is in block form.
+    """
+    def angles(k):
+        return [_battery_angle(rng) for _ in range(k)]
+
+    if qubits == 1:
+        return SingleQubit(1, *angles(4)) if rng.integers(2) == 0 else NotGate(1)
+    kind = int(rng.integers(4 if inert_00 else 7))
+    if kind == 0:
+        return ControlDown(*angles(4))
+    if kind == 1:
+        return ControlUp(*angles(4))
+    if kind == 2:
+        pairs = INERT_PAIRS if inert_00 else TWO_LEVEL_PAIRS
+        p, r = pairs[rng.integers(len(pairs))]
+        gammas = angles(2) if (p, r) in EXTENDED_PAIRS else [0.0, 0.0]
+        return TwoLevel(p, r, *angles(2), *gammas)
+    if kind == 3:
+        return DiagonalLayer((0.0 if inert_00 else _battery_angle(rng), *angles(3)))
+    line = int(rng.integers(1, 3))
+    if kind == 4:
+        return SingleQubit(line, *angles(4))
+    if kind == 5:
+        return NotGate(line)
+    return ControlNot(line, 3 - line)
+
+
+def byte_battery(seed, rounds=40):
+    """Seeded networks for byte-level digests of the gate, cycle and spectrum layers.
+
+    Each round holds 1-qubit, unrestricted 2-qubit and block-form 2-qubit
+    networks of 0..5 gates each, covering all seven gate kinds and the
+    EDGE_ANGLES; alternating U3/SU3/SO3 networks and the degenerate
+    ControlDown(phi=pi) cycle follow.
+    """
+    rng = np.random.default_rng(seed)
+    nets = []
+    for _ in range(rounds):
+        for size in range(6):
+            for qubits, inert_00 in ((1, False), (2, False), (2, True)):
+                gates = tuple(random_gate(rng, qubits, inert_00) for _ in range(size))
+                nets.append(CyclicNetwork(qubits, gates))
+        for kind in ("u3", "su3", "so3"):
+            nets.append(random_alternating_network(rng, kind))
+    nets.append(CyclicNetwork(2, (ControlDown(phi=np.pi),)))
+    return nets
 
 
 def eigenvalue_multiset_deviation(a, b):

@@ -1,12 +1,13 @@
 """Command-line interface: classification reports, CSVs, demos, determinism."""
 
+import dataclasses
 import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from cyclonet import Spectrum, dynamics
+from cyclonet import Spectrum, dynamics, protocols
 from cyclonet.cli import main
 
 
@@ -244,6 +245,25 @@ class TestDemos:
         out = capsys.readouterr().out
         assert "# seed=9" in out
         assert "fidelity 1.000000000" in out
+
+    @pytest.mark.parametrize("cycles", ["12345", "1000000"])
+    def test_memory_residual_catches_skewed_stored_spectrum(self, monkeypatch, capsys, cycles):
+        # Phases scaled by 1 + 1e-6 still retrieve with full fidelity (U^n and
+        # U^-n share the spectrum); only binary exponentiation can notice.
+        store = protocols.memory_store
+
+        def skewed_store(net, psi):
+            record = store(net, psi)
+            spectrum = Spectrum(record.spectrum.phases * (1 + 1e-6), record.spectrum.vectors)
+            return dataclasses.replace(record, spectrum=spectrum)
+
+        assert main(["demo", "memory", "--cycles", cycles]) == 0
+        assert float(capsys.readouterr().out.split("spectral-power residual=")[1]) < 4e-9
+        monkeypatch.setattr(protocols, "memory_store", skewed_store)
+        assert main(["demo", "memory", "--cycles", cycles]) == 1
+        out = capsys.readouterr().out
+        assert "fidelity 1.000000000" in out
+        assert float(out.split("spectral-power residual=")[1]) > 1e-6
 
     def test_sensor_demo_bit_one(self, capsys):
         assert main(["demo", "sensor", "--bit", "1", "--nprime-max", "300"]) == 0

@@ -1,5 +1,7 @@
 """Cubic eigenvalue solver, shortcuts, cofactor eigenstates, alternating-pair shifts."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -182,6 +184,16 @@ class TestBlockFormEigenstates:
         degenerate = compile_cycle(CyclicNetwork(2, (ControlDown(phi=np.pi),)))
         with pytest.raises(DegenerateSpectrumError):
             block_form_eigenstates(degenerate, solve_cubic(cubic_coefficients(degenerate[1:, 1:])))
+
+    def test_fallback_reason_logged_at_debug_only(self, caplog):
+        # A loop over degenerate networks must not print one stderr line per network.
+        degenerate = compile_cycle(CyclicNetwork(2, (ControlDown(phi=np.pi),)))
+        with caplog.at_level(logging.DEBUG, logger="cyclonet.spectral"):
+            spectrum_closed_form(degenerate)
+        fallbacks = [r for r in caplog.records if "falling back to dense oracle" in r.getMessage()]
+        assert [r.levelno for r in fallbacks] == [logging.DEBUG]
+        assert "degenerate" in fallbacks[0].getMessage()
+        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
 
 class TestAlternatingPair:
