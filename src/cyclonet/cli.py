@@ -16,7 +16,7 @@ with one %-format per row (%d counts, %.12e values); the CSV is
 byte-identical for identical arguments (and seed).  Invalid input files or
 arguments (--phase and --alpha-family included) and unwritable output
 paths print one "error:" line on stderr and exit with code 2; an output
-path is tried before any work is done.
+path is tried before any work is done, and every size is capped at 10^6.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ DEFAULT_ALPHA_FAMILY = tuple(
     sorted([0.0, np.pi / 6, -np.pi / 6, np.pi / 4, -np.pi / 4, np.pi / 3, -np.pi / 3, np.pi / 2, -np.pi / 2])
 )
 _CHUNK_ROWS = 1 << 14  # table rows formatted per write
+_MAX_SIZE = 1_000_000  # cap on every size the CLI takes: CSV rows, n' and cycle counts
 
 
 def _check_output(path: str | None) -> None:
@@ -105,20 +106,20 @@ def _parse_alpha_family(text: str | None) -> tuple[float, ...]:
 
 def cmd_figure(args) -> int:
     if args.name == "nu0-sweep":
-        if args.grid_step <= 0:
-            raise ValueError("--grid-step must be positive")
         alphas = _parse_alpha_family(args.alpha_family)
+        if not np.isfinite(alphas).all():
+            raise ValueError("--alpha-family entries must be finite")
+        if not (args.grid_step > 0 and len(alphas) * np.ceil(2.0 * np.pi / args.grid_step) <= _MAX_SIZE):
+            raise ValueError("--grid-step must be positive and, with --alpha-family, give at most 10^6 rows")
         _check_output(args.output)
         phis = np.arange(0.0, 2.0 * np.pi, args.grid_step)
         nu0 = [np.angle(alternating_pair_root(alpha, phi)) for alpha in alphas for phi in phis]
         table = np.column_stack([np.repeat(alphas, len(phis)), np.tile(phis, len(alphas)), nu0])
         _write_csv(args.output, "alpha,phi,nu0", table, "%.12e,%.12e,%.12e")
-        print(f"wrote {len(table)} rows to {args.output}")
-        return 0
     else:  # pert-series, the only other name argparse admits
         if args.nu1 is None:
             raise ValueError("pert-series requires --nu1")
-        if not 0 < args.nprime_max <= 1_000_000:
+        if not 0 < args.nprime_max <= _MAX_SIZE:
             raise ValueError("--nprime-max must be in 1..10^6")
         _check_output(args.output)
         try:
@@ -144,8 +145,8 @@ def cmd_figure(args) -> int:
             "%d" + ",%.12e" * 5,
             comments=[f"nu1={args.nu1:.12e}", f"phi={phi:.12e}", f"basis={args.basis}", f"k={args.eigenstate}"],
         )
-        print(f"wrote {len(table)} rows to {args.output}")
-        return 0
+    print(f"wrote {len(table)} rows to {args.output}")
+    return 0
 
 
 # ----------------------------------------------------------------------------
@@ -158,11 +159,9 @@ def _random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _demo_memory(args) -> int:
-    if args.cycles < 0:
-        raise ValueError("--cycles must be non-negative")
+    net = alternating_pair_network(args.phi)
     rng = np.random.default_rng(args.seed)
     print(f"# seed={args.seed}")
-    net = alternating_pair_network(args.phi)
     psi = _random_state(4, rng)
     record = protocols.memory_store(net, psi)
     protocols.reset_cycle_applications()
@@ -183,8 +182,6 @@ def _demo_memory(args) -> int:
 
 
 def _demo_sensor(args) -> int:
-    if not 0 <= args.nprime_max <= 1_000_000:
-        raise ValueError("--nprime-max must be in 0..10^6")
     _check_output(args.output)
     net = alternating_pair_network(args.phi)
     final = protocols.sensor_run(net, args.bit, args.nprime_max)
@@ -203,7 +200,7 @@ def _demo_sensor(args) -> int:
 def _demo_phase_est(args) -> int:
     try:
         fraction = float(Fraction(args.phase))
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError, OverflowError):
         raise ValueError(f"--phase must be a fraction such as 1/8, got {args.phase!r}") from None
     _check_output(args.output)
     net = CyclicNetwork(2, (DiagonalLayer((0.0, 2.0 * np.pi * fraction, 0.0, 0.0)),))
@@ -257,6 +254,11 @@ def _demo_chain(args) -> int:
 
 
 def cmd_demo(args) -> int:
+    if args.seed < 0:  # every demo accepts every demo option; all are checked before any output
+        raise ValueError("--seed must be non-negative")
+    for name, value in (("--cycles", args.cycles), ("--nprime-max", args.nprime_max)):
+        if not 0 <= value <= _MAX_SIZE:
+            raise ValueError(f"{name} must be in 0..10^6")
     handlers = {
         "memory": _demo_memory,
         "sensor": _demo_sensor,

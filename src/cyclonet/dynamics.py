@@ -11,6 +11,7 @@ and chains of cycles linked by one probe qubit evolve branch-by-branch.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +41,7 @@ def matrix_power_spectral(u, n: int, spectrum: Spectrum | None = None) -> np.nda
     return (v * np.exp(1j * n * spectrum.phases)) @ v.conj().T
 
 
-def evolve(net: CyclicNetwork, psi0, n: int, spectrum: Spectrum | None = None) -> np.ndarray:
+def evolve(net: CyclicNetwork, psi0, n: int) -> np.ndarray:
     """State after n cycles, via the eigenbasis expansion of the cycle unitary."""
     u = compile_cycle(net)
     psi0 = check_state(psi0)
@@ -48,7 +49,7 @@ def evolve(net: CyclicNetwork, psi0, n: int, spectrum: Spectrum | None = None) -
         raise ValueError(
             f"dimension mismatch: network dimension {u.shape[0]}, state {psi0.shape[0]}"
         )
-    return matrix_power_spectral(u, n, spectrum) @ psi0
+    return matrix_power_spectral(u, n) @ psi0
 
 
 def amplitude_series(spectrum: Spectrum, row: int, start, n_max: int) -> np.ndarray:
@@ -309,15 +310,8 @@ def chain_evolve(nets, acyclic_state, initial_states, n_prime: int) -> np.ndarra
         branch0.append(matrix_power_spectral(u, n_prime + q, spectrum) @ psi)
         pre = matrix_power_spectral(u, j, spectrum) @ psi
         branch1.append(matrix_power_spectral(u, n_prime + q - j, spectrum) @ flip_bottom @ pre)
-
-    def chain_tensor(parts):
-        out = parts[-1]  # cycle q is leftmost
-        for part in reversed(parts[:-1]):
-            out = np.kron(out, part)
-        return out
-
-    out0 = np.kron(_P0 @ probe, chain_tensor(branch0))
-    out1 = np.kron(_P1 @ probe, chain_tensor(branch1))
+    out0 = np.kron(_P0 @ probe, functools.reduce(np.kron, reversed(branch0)))  # cycle q leftmost
+    out1 = np.kron(_P1 @ probe, functools.reduce(np.kron, reversed(branch1)))
     return out0 + out1
 
 

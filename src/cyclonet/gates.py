@@ -33,6 +33,7 @@ TWO_LEVEL_PAIRS = ((3, 4), (2, 3), (2, 4), (1, 2), (1, 3), (1, 4))
 EXTENDED_PAIRS = ((2, 4), (3, 4))
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SIGMA_X.flags.writeable = False  # gate_matrix returns it as the one-qubit NotGate matrix
 _EYE4 = np.eye(4, dtype=complex)  # copied, never written
 
 
@@ -120,12 +121,10 @@ def diagonal_matrix(gammas) -> np.ndarray:
 def cnot_matrix(control: int, target: int) -> np.ndarray:
     """Controlled-Not on two qubits, lines 1 (top) and 2 (bottom)."""
     _check_cnot_lines(control, target)
-    p0 = np.diag([1.0, 0.0]).astype(complex)
-    p1 = np.diag([0.0, 1.0]).astype(complex)
-    eye = np.eye(2, dtype=complex)
-    if control == 1:
-        return np.kron(p0, eye) + np.kron(p1, SIGMA_X)
-    return np.kron(eye, p0) + np.kron(SIGMA_X, p1)
+    g = _EYE4.copy()
+    flipped = slice(2, 4) if control == 1 else slice(1, 4, 2)  # levels |1x> or |x1>
+    g[flipped, flipped] = SIGMA_X
+    return g
 
 
 # ----------------------------------------------------------------------------
@@ -278,12 +277,20 @@ class CyclicNetwork:
 
 
 def compile_cycle(net: CyclicNetwork) -> np.ndarray:
-    """Per-cycle unitary of a network: product of gate matrices in reverse list order."""
-    dim = 2**net.qubits
-    u = _EYE4[:dim, :dim].copy()
-    for gate in net.gates:
-        u = gate_matrix(gate, net.qubits) @ u
-    return check_unitary(u)
+    """Per-cycle unitary of a network: product of gate matrices in reverse list order.
+
+    Built and checked on the first call on a network, then kept read-only on that
+    (immutable) network: every later call returns the same array.
+    """
+    u = net.__dict__.get("_cycle")
+    if u is None:
+        u = _EYE4[: 2**net.qubits, : 2**net.qubits].copy()
+        for gate in net.gates:
+            u = gate_matrix(gate, net.qubits) @ u
+        u = check_unitary(u)
+        object.__setattr__(net, "_cycle", u)
+    u.flags.writeable = False  # here, not above: a deep copy or unpickled network holds a writable copy
+    return u
 
 
 def u2_parameters(w: np.ndarray) -> tuple[float, float, float, float]:

@@ -50,8 +50,6 @@ def _is_unimodular(m: np.ndarray) -> bool:
 
 def classify(net: CyclicNetwork) -> GroupClass:
     """Classify a network by the structure of its compiled cycle unitary."""
-    if net.qubits > 2:
-        raise ValueError("classification supports 1 or 2 loop qubits")
     u = compile_cycle(net)
     if net.qubits == 1:
         if _is_unimodular(u):

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gates import alternating_pair_network, compile_cycle
 from .linalg import ROOT_TOL, TRACE_SLACK, ZERO_TOL
 from .linalg import Spectrum, check_block_form, check_unitary, dense_eigendecomposition
 
@@ -198,8 +199,6 @@ def alternating_pair_root(alpha: float, phi: float) -> complex:
     try:
         return complex(solve_cubic(coeffs)[0])
     except DegenerateSpectrumError:
-        from .gates import alternating_pair_network, compile_cycle
-
         estimate = _cardano_roots(coeffs.w, coeffs.p, coeffs.a1)[0]
         g = compile_cycle(alternating_pair_network(phi, alpha=alpha))
         oracle = dense_eigendecomposition(g[1:, 1:]).eigenvalues()

@@ -15,6 +15,7 @@ import scipy.linalg
 
 from cyclonet import (
     ControlDown,
+    ControlNot,
     ControlUp,
     SingleQubit,
     TwoLevel,
@@ -112,7 +113,13 @@ def reference_u2_matrix(alpha, phi, beta, delta):
 
 
 def reference_gate_block(gate):
-    """ControlDown, ControlUp or TwoLevel as eye(4) with an np.ix_ block, or None."""
+    """ControlDown, ControlUp or TwoLevel as eye(4) with an np.ix_ block, ControlNot as krons, or None."""
+    if isinstance(gate, ControlNot):
+        p0, p1 = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
+        eye, sx = np.eye(2, dtype=complex), np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        if gate.control == 1:
+            return np.kron(p0, eye) + np.kron(p1, sx)
+        return np.kron(eye, p0) + np.kron(sx, p1)
     g = np.eye(4, dtype=complex)
     if isinstance(gate, ControlDown):
         g[2:, 2:] = reference_u2_matrix(gate.alpha, gate.phi, gate.beta, gate.delta)

@@ -2,10 +2,15 @@
 
 import dataclasses
 import hashlib
+import io
 import json
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cyclonet import Spectrum, dynamics, protocols
 from cyclonet.cli import main
@@ -197,6 +202,36 @@ class TestErrorExits:
         argv = ["figure", "nu0-sweep", "--alpha-family", "x", "--output", str(tmp_path / "x.csv")]
         assert self.check_error(capsys, argv, "--alpha-family") == ""
 
+    @pytest.mark.parametrize("phi", ["nan", "inf"])
+    def test_memory_non_finite_phi_writes_nothing_to_stdout(self, capsys, phi):
+        assert self.check_error(capsys, ["demo", "memory", "--phi", phi], "'phi'") == ""
+
+    @pytest.mark.parametrize("demo", ["memory", "chain"])
+    def test_negative_seed_named(self, capsys, demo):
+        assert self.check_error(capsys, ["demo", demo, "--seed", "-1"], "--seed") == ""
+
+    @pytest.mark.parametrize("step", ["1e-6", "nan"])
+    def test_grid_step_nan_or_over_the_row_cap(self, tmp_path, capsys, step):
+        # 1e-6 would be 6.3e6 rows per alpha: rejected before any row is computed.
+        argv = ["figure", "nu0-sweep", "--grid-step", step, "--output", str(tmp_path / "x.csv")]
+        assert self.check_error(capsys, argv, "--grid-step") == ""
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["demo", "memory", "--cycles", "1000001"], "--cycles"),
+            (["demo", "memory", "--cycles", "1" + "0" * 400], "--cycles"),
+            (["demo", "chain", "--nprime-max", "1000001"], "--nprime-max"),
+            (["demo", "chain", "--nprime-max", "-1"], "--nprime-max"),
+            (["demo", "phase-est", "--phase", "1e400"], "--phase"),
+            (["figure", "nu0-sweep", "--alpha-family", "0,nan"], "--alpha-family"),
+            (["figure", "nu0-sweep", "--alpha-family", ",".join(["0"] * 1600)], "--grid-step"),
+        ],
+    )
+    def test_sizes_capped_and_values_finite(self, tmp_path, capsys, argv, field):
+        assert self.check_error(capsys, argv + ["--output", str(tmp_path / "x.csv")], field) == ""
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -324,3 +359,81 @@ class TestDemos:
         )
         assert rc == 1
         assert "degenerate" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------------
+# Any argv: exit 0, 1 or 2, never a traceback; exit 2 is one stderr line and no stdout.
+
+FLOAT_ARG = st.sampled_from(["nan", "inf", "-inf", "-1", "0", "0.7", "1.2", "1e300", "1e-320"])
+
+
+def count_arg(valid_max):
+    return st.sampled_from(["-1", "1000001", "1" + "0" * 400]) | st.integers(0, valid_max).map(str)
+
+
+OUTPUT_ARG = st.sampled_from(["out.csv", "no-such-dir/out.csv"])
+ARGV_OPTIONS = {
+    ("classify",): {"--input": st.sampled_from(["net.json", "nan.json", "mistyped.json", "missing.json"])},
+    ("figure", "nu0-sweep"): {
+        "--output": OUTPUT_ARG,
+        "--grid-step": st.sampled_from(["0", "-0.5", "nan", "inf", "1e-7", "1e-320", "1e300"])
+        | st.floats(0.05, 7.0).map(repr),
+        "--alpha-family": st.sampled_from(["0", "0.1,-0.7", "x", "", "nan", "1e400"]),
+    },
+    ("figure", "pert-series"): {
+        "--output": OUTPUT_ARG,
+        "--nu1": FLOAT_ARG | st.floats(0.01, 3.13).map(repr),
+        "--nprime-max": count_arg(2000),
+        "--basis": st.sampled_from(["100", "101", "110", "111", "011", "x"]),
+        "--eigenstate": st.integers(-1, 3).map(str),
+    },
+    ("demo", "memory"): {"--phi": FLOAT_ARG, "--cycles": count_arg(10**6), "--seed": count_arg(2**64)},
+    ("demo", "sensor"): {
+        "--output": OUTPUT_ARG,
+        "--bit": st.sampled_from(["0", "1", "2"]),
+        "--phi": FLOAT_ARG,
+        "--nprime-max": count_arg(2000),
+    },
+    ("demo", "phase-est"): {
+        "--output": OUTPUT_ARG,
+        "--phase": st.sampled_from(["1/8", "3/7", "0", "-5/3", "1/0", "half", "nan", "1e400"]),
+        "--bits": st.integers(-1, 9).map(str),
+    },
+    ("demo", "chain"): {"--links": st.integers(0, 5).map(str), "--nprime-max": count_arg(2000), "--seed": count_arg(2**64)},
+}
+
+
+@st.composite
+def cli_argv(draw, command):
+    argv = list(command)
+    for option, values in ARGV_OPTIONS[command].items():
+        if draw(st.integers(0, 3)):  # each option is given in about three draws of four
+            argv.append(f"{option}={draw(values)}")
+    return argv
+
+
+@pytest.mark.parametrize("command", sorted(ARGV_OPTIONS), ids=" ".join)
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_argv_exits_cleanly(tmp_path, monkeypatch, command, data):
+    argv = data.draw(cli_argv(command), label="argv")
+    monkeypatch.chdir(tmp_path)  # --input and --output paths are relative
+    write_net(tmp_path / "net.json", SINGLE_AXIS_DOC)
+    (tmp_path / "nan.json").write_text('{"qubits": 2, "gates": [{"kind": "control_up", "phi": NaN}]}')
+    write_net(tmp_path / "mistyped.json", {"qubits": 2, "gates": [{"kind": "u2", "line": 1.7}]})
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # outside pytest a warning is printed on stderr
+        try:
+            code = main(argv)
+            usage_error = False
+        except SystemExit as exc:  # argparse's own usage errors
+            code, usage_error = exc.code, True
+    out, err = out.getvalue(), err.getvalue() + "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
+    assert "Traceback" not in err
+    assert code in (0, 1, 2)
+    if usage_error:
+        assert code == 2 and out == "" and err.startswith("usage:") and "error:" in err
+    elif code == 2:
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1

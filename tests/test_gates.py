@@ -1,5 +1,8 @@
 """Gate constructors, network compilation, compression, and the JSON format."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +19,7 @@ from cyclonet import (
     TwoLevel,
     alternating_pair_network,
     basis_state,
+    classify,
     compile_cycle,
     compress_network,
     compress_same_orientation,
@@ -30,6 +34,7 @@ from cyclonet import (
     u2_matrix,
     unitarity_defect,
 )
+from cyclonet import gates
 
 from helpers import random_alternating_network
 
@@ -192,6 +197,45 @@ class TestCompile:
                 left = compile_cycle(CyclicNetwork(2, net.gates[:cut]))
                 right = compile_cycle(CyclicNetwork(2, net.gates[cut:]))
                 assert np.max(np.abs(right @ left - whole)) < 1e-12
+
+    def test_compiled_once_per_network_and_read_only(self):
+        net = random_alternating_network(np.random.default_rng(14), kind="u3")
+        u = compile_cycle(net)
+        assert compile_cycle(net) is u
+        with pytest.raises(ValueError, match="read-only"):
+            u[0, 0] = 2.0
+        # An equal but distinct network compiles on its own, to the same bytes.
+        twin = CyclicNetwork(2, net.gates)
+        assert twin == net and compile_cycle(twin) is not u
+        assert compile_cycle(twin).tobytes() == u.tobytes()
+        for clone in (copy.deepcopy(net), pickle.loads(pickle.dumps(net))):
+            assert not compile_cycle(clone).flags.writeable
+            assert compile_cycle(clone).tobytes() == u.tobytes()
+
+    def test_classify_reuses_the_compiled_cycle(self, monkeypatch):
+        built = []
+        build = gates.gate_matrix
+
+        def counted(gate, qubits):
+            built.append(gate)
+            return build(gate, qubits)
+
+        monkeypatch.setattr(gates, "gate_matrix", counted)
+        net = random_alternating_network(np.random.default_rng(15), kind="su3")
+        compile_cycle(net)
+        classify(net)
+        assert built == list(net.gates)
+
+    def test_not_gate_matrix_is_no_writable_shared_constant(self, monkeypatch):
+        # A stand-in with the constant's flags, so a write that lands harms no other test.
+        stand_in = gates.SIGMA_X.copy()
+        stand_in.flags.writeable = gates.SIGMA_X.flags.writeable
+        monkeypatch.setattr(gates, "SIGMA_X", stand_in)
+        m = gate_matrix(NotGate(1), 1)
+        with pytest.raises(ValueError, match="read-only"):
+            m[0, 1] = 2.0
+        assert np.array_equal(gate_matrix(NotGate(1), 1), [[0, 1], [1, 0]])
+        assert np.array_equal(gate_matrix(NotGate(2), 2), np.kron(np.eye(2), [[0, 1], [1, 0]]))
 
     def test_control_products_keep_block_form_exactly(self):
         rng = np.random.default_rng(13)
