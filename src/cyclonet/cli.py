@@ -198,6 +198,8 @@ def _demo_sensor(args) -> int:
 
 
 def _demo_phase_est(args) -> int:
+    if not 1 <= args.bits <= 8:
+        raise ValueError("--bits must be 1..8")
     try:
         fraction = float(Fraction(args.phase))
     except (ValueError, ZeroDivisionError, OverflowError):

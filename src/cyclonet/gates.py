@@ -34,6 +34,7 @@ EXTENDED_PAIRS = ((2, 4), (3, 4))
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_X.flags.writeable = False  # gate_matrix returns it as the one-qubit NotGate matrix
+_EYE2 = np.eye(2, dtype=complex)  # read, never written
 _EYE4 = np.eye(4, dtype=complex)  # copied, never written
 
 
@@ -230,8 +231,10 @@ def _embed_single(u2: np.ndarray, line: int, qubits: int) -> np.ndarray:
         raise ValueError(f"line {line} out of range for a {qubits}-qubit network")
     if qubits == 1:
         return u2
-    eye = np.eye(2, dtype=complex)
-    return np.kron(u2, eye) if line == 1 else np.kron(eye, u2)
+    # np.kron(u2, eye(2)) or np.kron(eye(2), u2), with the same products (-0.0 zeros included).
+    if line == 1:
+        return (u2[:, None, :, None] * _EYE2[None, :, None, :]).reshape(4, 4)
+    return (_EYE2[:, None, :, None] * u2[None, :, None, :]).reshape(4, 4)
 
 
 def gate_matrix(gate: GateSpec, qubits: int) -> np.ndarray:

@@ -134,11 +134,18 @@ class Spectrum:
         return np.exp(1j * self.phases)
 
 
+# The complex Schur factorization scipy.linalg.schur runs, called without its Python wrapper.
+_ZGEES = scipy.linalg.get_lapack_funcs("gees", dtype=complex)
+
+
+def _no_sort(x):
+    """zgees's eigenvalue-selection callback, never called when sort_t is 0."""
+
+
 @functools.cache
 def _schur_lwork(dim: int) -> int:
     """Optimal zgees workspace for a dim x dim matrix, which scipy would otherwise query on every call."""
-    gees = scipy.linalg.get_lapack_funcs("gees", dtype=complex)
-    return int(gees(lambda x: None, np.eye(dim, dtype=complex), lwork=-1)[-2][0].real)
+    return int(_ZGEES(_no_sort, np.eye(dim, dtype=complex), lwork=-1)[-2][0].real)
 
 
 def dense_eigendecomposition(u) -> Spectrum:
@@ -148,8 +155,13 @@ def dense_eigendecomposition(u) -> Spectrum:
     phase of each (canonicalized) eigenvector's leading nonzero entry.  The
     Schur route keeps eigenvectors orthonormal even for degenerate spectra.
     """
-    u = check_unitary(u)  # finite from here on, so schur need not check again
-    t, z = scipy.linalg.schur(u, output="complex", lwork=_schur_lwork(u.shape[0]), check_finite=False)
+    u = check_unitary(u)  # finite from here on, so zgees need not check again
+    t, _, _, z, _, info = _ZGEES(_no_sort, u, lwork=_schur_lwork(u.shape[0]))
+    # scipy.linalg.schur's checks; with no sorting, info > 0 means the QR iteration failed.
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal gees")
+    if info > 0:
+        raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
     phases = np.angle(np.diag(t))
     # Rotate each column's global phase so its largest-magnitude entry is real positive.
     cols = np.arange(u.shape[0])

@@ -14,6 +14,7 @@ root structure of the shared-angle alternating-pair network.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,9 @@ from .linalg import Spectrum, check_block_form, check_unitary, dense_eigendecomp
 log = logging.getLogger(__name__)
 
 THIRD_TURN = 2.0 * np.pi / 3.0
+# e^{2 pi i k/3} for the Cardano branches k = 0, 1, 2.  u0 * _THIRD_TURNS stays one
+# array product: numpy's vectorized complex multiply rounds unlike a scalar one.
+_THIRD_TURNS = np.exp(2j * np.pi * np.arange(3) / 3.0)
 
 
 class DegenerateSpectrumError(RuntimeError):
@@ -43,22 +47,55 @@ class CubicCoefficients:
     w: complex
 
 
-def _cardano(a1, a2, a3) -> CubicCoefficients:
-    """Depressed-cubic intermediates q, p and the Cardano radicand root w."""
-    q = (9.0 * a1 * a2 - 27.0 * a3 - 2.0 * a1**3) / 27.0
-    p = (3.0 * a2 - a1**2) / 3.0
-    w = q / 2.0 + np.sqrt(complex(q * q / 4.0 + p**3 / 27.0))
-    return CubicCoefficients(complex(a1), complex(a2), complex(a3), complex(q), complex(p), complex(w))
+def _npy_quot(a: complex, b: complex) -> complex:
+    """a / b rounded as numpy's complex division rounds it, for b != 0.
+
+    numpy uses Smith's method with a reciprocal: a / 27.0 is
+    (re + im·0)·(1/27).  Python's own complex division divides by the
+    denominator instead, so its last bit differs.
+    """
+    br, bi = b.real, b.imag
+    if abs(br) >= abs(bi):
+        rat = bi / br
+        scl = 1.0 / (br + bi * rat)
+        return complex((a.real + a.imag * rat) * scl, (a.imag - a.real * rat) * scl)
+    rat = br / bi
+    scl = 1.0 / (bi + br * rat)
+    return complex((a.real * rat + a.imag) * scl, (a.imag * rat - a.real) * scl)
 
 
-def _block_cubic(m: np.ndarray) -> CubicCoefficients:
-    a1 = -np.trace(m)
-    a2 = (
-        (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-        + (m[0, 0] * m[2, 2] - m[0, 2] * m[2, 0])
-        + (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-    )
-    return _cardano(a1, a2, -np.linalg.det(m))
+def _npy_powers(z: complex) -> tuple[complex, complex]:
+    """z**2 and z**3 as numpy's complex power computes them: z·z and z·(z·z), or 0 for z = 0.
+
+    Python's z**n multiplies by 1 + 0j first, which can flip the sign of a zero part.
+    """
+    if not z:
+        return 0j, 0j
+    square = z * z
+    return square, z * square
+
+
+def _cardano(a1: complex, a2: complex, a3: complex) -> CubicCoefficients:
+    """Depressed-cubic intermediates q, p and the Cardano radicand root w.
+
+    Every operation rounds as numpy's scalar arithmetic does: real constants
+    enter as complex numbers (9 + 0j), and powers and divisions go through
+    _npy_powers and _npy_quot.
+    """
+    a1_squared, a1_cubed = _npy_powers(a1)
+    q = _npy_quot((9 + 0j) * a1 * a2 - (27 + 0j) * a3 - (2 + 0j) * a1_cubed, 27.0)
+    p = _npy_quot((3 + 0j) * a2 - a1_squared, 3.0)
+    radicand = _npy_quot(q * q, 4.0) + _npy_quot(_npy_powers(p)[1], 27.0)
+    w = _npy_quot(q, 2.0) + complex(np.sqrt(radicand))
+    return CubicCoefficients(a1, a2, a3, q, p, w)
+
+
+def _block_cubic(m: np.ndarray, rows: list) -> CubicCoefficients:
+    """The cubic of the 3x3 block m, whose entries rows holds as Python complex numbers."""
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = rows
+    a1 = -(0j + m00 + m11 + m22)  # np.trace's sum, which starts from +0
+    a2 = (m11 * m22 - m12 * m21) + (m00 * m22 - m02 * m20) + (m00 * m11 - m01 * m10)
+    return _cardano(a1, a2, -complex(np.linalg.det(m)))
 
 
 def cubic_coefficients(m) -> CubicCoefficients:
@@ -70,14 +107,18 @@ def cubic_coefficients(m) -> CubicCoefficients:
     m = check_unitary(m)
     if m.shape != (3, 3):
         raise ValueError(f"expected a 3x3 block, got {m.shape}")
-    return _block_cubic(m)
+    return _block_cubic(m, m.tolist())
 
 
-def _cardano_roots(w: complex, p: complex, a1: complex) -> np.ndarray:
+def _cardano_roots(w: complex, p: complex, a1: complex) -> list[complex]:
     """The three roots lambda_k = u_k - p/(3 u_k) - a1/3 with u_k = w^{1/3} e^{2 pi i k/3}."""
     u0 = complex(w) ** (1.0 / 3.0)  # principal branch, argument in (-pi/3, pi/3]
-    u = u0 * np.exp(2j * np.pi * np.arange(3) / 3.0)
-    return u - p / (3.0 * u) - a1 / 3.0
+    shift = a1 / 3.0  # Python's division, not _npy_quot: the pinned digests carry its rounding
+    return [u - _npy_quot(p, (3 + 0j) * u) - shift for u in (u0 * _THIRD_TURNS).tolist()]
+
+
+def _unimodular(roots: list[complex]) -> bool:
+    return all(abs(abs(r) - 1.0) < ROOT_TOL for r in roots)
 
 
 def solve_cubic(coeffs: CubicCoefficients) -> np.ndarray:
@@ -94,13 +135,14 @@ def solve_cubic(coeffs: CubicCoefficients) -> np.ndarray:
             return np.full(3, -coeffs.a1 / 3.0, dtype=complex)
         raise DegenerateSpectrumError("vanishing Cardano radicand with nonzero depressed coefficient")
     roots = _cardano_roots(coeffs.w, coeffs.p, coeffs.a1)
-    if np.max(np.abs(np.abs(roots) - 1.0)) < ROOT_TOL:
-        return roots
-    w_alt = coeffs.q / 2.0 - np.sqrt(complex(coeffs.q**2 / 4.0 + coeffs.p**3 / 27.0))
+    if _unimodular(roots):
+        return np.array(roots)
+    # Python's divisions and powers, as for a1 / 3 in _cardano_roots.
+    w_alt = coeffs.q / 2.0 - complex(np.sqrt(complex(coeffs.q**2 / 4.0 + coeffs.p**3 / 27.0)))
     if abs(w_alt) >= ZERO_TOL:
         roots = _cardano_roots(w_alt, coeffs.p, coeffs.a1)
-        if np.max(np.abs(np.abs(roots) - 1.0)) < ROOT_TOL:
-            return roots
+        if _unimodular(roots):
+            return np.array(roots)
     raise DegenerateSpectrumError("both Cardano branches produced non-unimodular roots")
 
 
@@ -125,39 +167,44 @@ def block_form_eigenstates(g, eigenvalues) -> Spectrum:
     keep their printed signs.  Raises DegenerateSpectrumError when the roots
     are too close for the cofactor vectors to be reliable.
     """
-    return _cofactor_eigenstates(check_block_form(g), eigenvalues)
+    return _cofactor_eigenstates(check_block_form(g)[1:, 1:].tolist(), eigenvalues)
 
 
-def _cofactor_eigenstates(g: np.ndarray, eigenvalues) -> Spectrum:
+def _cofactor_eigenstates(rows: list, eigenvalues) -> Spectrum:
+    """Cofactor eigenstates of the 3x3 block whose entries rows holds as Python complex numbers."""
     lams = np.asarray(eigenvalues, dtype=complex)
     if lams.shape != (3,):
         raise ValueError("expected exactly three block eigenvalues")
+    values = lams.tolist()
     for i in range(3):
         for j in range(i + 1, 3):
-            if abs(lams[i] - lams[j]) <= ROOT_TOL:
+            if abs(values[i] - values[j]) <= ROOT_TOL:
                 raise DegenerateSpectrumError(
                     f"eigenvalues {i} and {j} within {ROOT_TOL:.1e}; cofactor vectors degenerate"
                 )
-    m = g[1:, 1:]
-    vectors = np.zeros((4, 4), dtype=complex)
-    norms = np.ones(4)
-    for k, lam in enumerate(lams):
-        raw = np.array(
+    (m00, m01, m02), (m10, m11, m12), _ = rows
+    raw = np.array(
+        [
             [
-                0.0,
-                -m[0, 2] * (m[1, 1] - lam) + m[0, 1] * m[1, 2],
-                -m[1, 2] * (m[0, 0] - lam) + m[1, 0] * m[0, 2],
-                (m[1, 1] - lam) * (m[0, 0] - lam) - m[1, 0] * m[0, 1],
-            ],
-            dtype=complex,
-        )
-        norm = np.linalg.norm(raw)
-        if norm < ZERO_TOL:
+                0j,
+                -m02 * (m11 - lam) + m01 * m12,
+                -m12 * (m00 - lam) + m10 * m02,
+                (m11 - lam) * (m00 - lam) - m10 * m01,
+            ]
+            for lam in values
+        ]
+    )
+    # One ddot per part of each vector, as np.linalg.norm takes it; a sum over an axis rounds differently.
+    norm = [math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag)) for v in raw]
+    for k in range(3):
+        if norm[k] < ZERO_TOL:
             raise DegenerateSpectrumError(f"cofactor vector vanished for eigenvalue index {k}")
-        norms[k] = 1.0 / norm
-        vectors[:, k] = raw / norm
+    vectors = np.zeros((4, 4), dtype=complex)
+    np.divide(raw.T, norm, out=vectors[:, :3])
     vectors[0, 3] = 1.0  # inert |00> eigenstate, eigenvalue exactly 1
-    phases = np.concatenate([np.angle(lams), [0.0]])
+    norms = np.array([1.0 / norm[0], 1.0 / norm[1], 1.0 / norm[2], 1.0])
+    phases = np.zeros(4)
+    phases[:3] = np.angle(lams)
     return Spectrum(phases=phases, vectors=vectors, normalizations=norms)
 
 
@@ -169,8 +216,10 @@ def spectrum_closed_form(g) -> Spectrum:
     raise instead.
     """
     g = check_block_form(g)
+    m = g[1:, 1:]
+    rows = m.tolist()
     try:
-        return _cofactor_eigenstates(g, solve_cubic(_block_cubic(g[1:, 1:])))
+        return _cofactor_eigenstates(rows, solve_cubic(_block_cubic(m, rows)))
     except DegenerateSpectrumError as exc:
         log.debug("closed-form spectrum degenerate (%s); falling back to dense oracle", exc)
         return dense_eigendecomposition(g)
@@ -195,7 +244,7 @@ def alternating_pair_root(alpha: float, phi: float) -> complex:
     """
     # Unit-determinant block: a1 = -tr, a2 = conj(tr), a3 = -1.
     a = alternating_pair_trace(alpha, phi)
-    coeffs = _cardano(-a, np.conj(a), -1.0 + 0.0j)
+    coeffs = _cardano(-a, a.conjugate(), -1.0 + 0.0j)
     try:
         return complex(solve_cubic(coeffs)[0])
     except DegenerateSpectrumError:

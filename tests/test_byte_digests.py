@@ -6,8 +6,10 @@ expressions rest on them.  Each layer hashes dtype, shape and raw bytes of
 its outputs over the seeded battery of helpers.byte_battery.
 """
 
+import dataclasses
 import hashlib
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,18 +19,29 @@ from cyclonet import (
     ControlDown,
     ControlNot,
     ControlUp,
+    CubicCoefficients,
+    DegenerateSpectrumError,
+    NotGate,
     SingleQubit,
+    Spectrum,
     TwoLevel,
+    alternating_pair_network,
+    alternating_pair_root,
+    alternating_pair_trace,
+    block_form_eigenstates,
     classify,
     compile_cycle,
+    cubic_coefficients,
     dense_eigendecomposition,
     gate_matrix,
     matrix_power_spectral,
+    solve_cubic,
     spectrum_closed_form,
     u2_matrix,
     unitarity_defect,
 )
-from cyclonet.linalg import MEMBERSHIP_TOL, PHASE_FLOOR, ZERO_TOL, is_block_form
+from cyclonet.cli import DEFAULT_ALPHA_FAMILY
+from cyclonet.linalg import MEMBERSHIP_TOL, PHASE_FLOOR, ROOT_TOL, ZERO_TOL, is_block_form
 
 from helpers import EDGE_ANGLES, byte_battery
 
@@ -112,11 +125,17 @@ def reference_u2_matrix(alpha, phi, beta, delta):
     )
 
 
-def reference_gate_block(gate):
-    """ControlDown, ControlUp or TwoLevel as eye(4) with an np.ix_ block, ControlNot as krons, or None."""
+def reference_gate_block(gate, qubits):
+    """Any gate but DiagonalLayer in its old form: single-qubit gates as krons with eye(2),
+    ControlDown, ControlUp and TwoLevel as eye(4) with an np.ix_ block, ControlNot as krons."""
+    eye, sx = np.eye(2, dtype=complex), np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    if isinstance(gate, (SingleQubit, NotGate)):
+        u2 = sx if isinstance(gate, NotGate) else reference_u2_matrix(gate.alpha, gate.phi, gate.beta, gate.delta)
+        if qubits == 1:
+            return u2
+        return np.kron(u2, eye) if gate.line == 1 else np.kron(eye, u2)
     if isinstance(gate, ControlNot):
         p0, p1 = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
-        eye, sx = np.eye(2, dtype=complex), np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
         if gate.control == 1:
             return np.kron(p0, eye) + np.kron(p1, sx)
         return np.kron(eye, p0) + np.kron(sx, p1)
@@ -175,7 +194,7 @@ def test_rewritten_layers_match_their_reference_forms_bit_for_bit():
             if isinstance(g, (SingleQubit, ControlDown, ControlUp)):
                 angles = (g.alpha, g.phi, g.beta, g.delta)
                 assert u2_matrix(*angles).tobytes() == reference_u2_matrix(*angles).tobytes()
-            block = reference_gate_block(g)
+            block = reference_gate_block(g, net.qubits)
             if block is not None:
                 assert gate_matrix(g, net.qubits).tobytes() == block.tobytes()
         u = compile_cycle(net)
@@ -187,3 +206,163 @@ def test_rewritten_layers_match_their_reference_forms_bit_for_bit():
         spectrum = dense_eigendecomposition(u)
         assert spectrum.phases.tobytes() == phases.tobytes()
         assert spectrum.vectors.tobytes() == vectors.tobytes()
+
+
+# The closed-form spectral bodies as they were before they became scalar
+# Python code, with their mix of numpy and Python complex arithmetic.
+
+
+def reference_cardano(a1, a2, a3):
+    q = (9.0 * a1 * a2 - 27.0 * a3 - 2.0 * a1**3) / 27.0
+    p = (3.0 * a2 - a1**2) / 3.0
+    w = q / 2.0 + np.sqrt(complex(q * q / 4.0 + p**3 / 27.0))
+    return CubicCoefficients(complex(a1), complex(a2), complex(a3), complex(q), complex(p), complex(w))
+
+
+def reference_block_cubic(m):
+    a1 = -np.trace(m)
+    a2 = (
+        (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
+        + (m[0, 0] * m[2, 2] - m[0, 2] * m[2, 0])
+        + (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+    )
+    return reference_cardano(a1, a2, -np.linalg.det(m))
+
+
+def reference_cardano_roots(w, p, a1):
+    u0 = complex(w) ** (1.0 / 3.0)
+    u = u0 * np.exp(2j * np.pi * np.arange(3) / 3.0)
+    return u - p / (3.0 * u) - a1 / 3.0
+
+
+def reference_solve_cubic(coeffs):
+    if abs(coeffs.w) < ZERO_TOL:
+        if abs(coeffs.p) < ZERO_TOL:
+            return np.full(3, -coeffs.a1 / 3.0, dtype=complex)
+        raise DegenerateSpectrumError("vanishing w")
+    roots = reference_cardano_roots(coeffs.w, coeffs.p, coeffs.a1)
+    if np.max(np.abs(np.abs(roots) - 1.0)) < ROOT_TOL:
+        return roots
+    w_alt = coeffs.q / 2.0 - np.sqrt(complex(coeffs.q**2 / 4.0 + coeffs.p**3 / 27.0))
+    if abs(w_alt) >= ZERO_TOL:
+        roots = reference_cardano_roots(w_alt, coeffs.p, coeffs.a1)
+        if np.max(np.abs(np.abs(roots) - 1.0)) < ROOT_TOL:
+            return roots
+    raise DegenerateSpectrumError("both branches")
+
+
+def reference_cofactor_eigenstates(g, eigenvalues):
+    lams = np.asarray(eigenvalues, dtype=complex)
+    for i in range(3):
+        for j in range(i + 1, 3):
+            if abs(lams[i] - lams[j]) <= ROOT_TOL:
+                raise DegenerateSpectrumError("close roots")
+    m = g[1:, 1:]
+    vectors = np.zeros((4, 4), dtype=complex)
+    norms = np.ones(4)
+    for k, lam in enumerate(lams):
+        raw = np.array(
+            [
+                0.0,
+                -m[0, 2] * (m[1, 1] - lam) + m[0, 1] * m[1, 2],
+                -m[1, 2] * (m[0, 0] - lam) + m[1, 0] * m[0, 2],
+                (m[1, 1] - lam) * (m[0, 0] - lam) - m[1, 0] * m[0, 1],
+            ],
+            dtype=complex,
+        )
+        norm = np.linalg.norm(raw)
+        if norm < ZERO_TOL:
+            raise DegenerateSpectrumError("vanished cofactor vector")
+        norms[k] = 1.0 / norm
+        vectors[:, k] = raw / norm
+    vectors[0, 3] = 1.0
+    phases = np.concatenate([np.angle(lams), [0.0]])
+    return Spectrum(phases=phases, vectors=vectors, normalizations=norms)
+
+
+def reference_alternating_pair_root(alpha, phi):
+    """The k = 0 root and whether it was snapped to the dense oracle."""
+    a = alternating_pair_trace(alpha, phi)
+    coeffs = reference_cardano(-a, np.conj(a), -1.0 + 0.0j)
+    try:
+        return complex(reference_solve_cubic(coeffs)[0]), False
+    except DegenerateSpectrumError:
+        estimate = reference_cardano_roots(coeffs.w, coeffs.p, coeffs.a1)[0]
+        g = compile_cycle(alternating_pair_network(phi, alpha=alpha))
+        oracle = dense_eigendecomposition(g[1:, 1:]).eigenvalues()
+        return complex(oracle[int(np.argmin(np.abs(oracle - estimate)))]), True
+
+
+def coefficient_bytes(coeffs):
+    return np.array(dataclasses.astuple(coeffs), dtype=complex).tobytes()
+
+
+def spectrum_bytes(spectrum):
+    parts = (spectrum.phases, spectrum.vectors, spectrum.normalizations)
+    return b"".join(np.asarray(a).tobytes() for a in parts if a is not None)
+
+
+def closed_form_route(u):
+    """Which step of the reference closed form gives way on block-form u, or the reference spectrum."""
+    coeffs = reference_block_cubic(u[1:, 1:])
+    try:
+        roots = reference_solve_cubic(coeffs)
+    except DegenerateSpectrumError:
+        return coeffs, None, "solve_cubic"
+    try:
+        return coeffs, roots, reference_cofactor_eigenstates(u, roots)
+    except DegenerateSpectrumError:
+        return coeffs, roots, "block_form_eigenstates"
+
+
+def real_orthogonal_blocks(count):
+    """Block-form cycles with a real orthogonal block, its imaginary parts all +0.0 or all -0.0."""
+    rng = np.random.default_rng(BATTERY_SEED)
+    for _ in range(count):
+        g = np.eye(4, dtype=complex)
+        g[1:, 1:] = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        yield g
+        yield g.conj()
+
+
+def test_closed_form_matches_its_reference_form_bit_for_bit():
+    routes = Counter()
+    nets = byte_battery(BATTERY_SEED + 2, rounds=60)
+    cycles = [compile_cycle(net) for net in nets if net.qubits == 2] + list(real_orthogonal_blocks(20))
+    for u in cycles:
+        if not is_block_form(u):
+            continue
+        coeffs, roots, spectrum = closed_form_route(u)
+        assert coefficient_bytes(cubic_coefficients(u[1:, 1:])) == coefficient_bytes(coeffs)
+        if roots is None:
+            with pytest.raises(DegenerateSpectrumError):
+                solve_cubic(coeffs)
+        else:
+            assert solve_cubic(coeffs).tobytes() == roots.tobytes()
+        if spectrum == "block_form_eigenstates":
+            with pytest.raises(DegenerateSpectrumError):
+                block_form_eigenstates(u, roots)
+        elif roots is not None:
+            assert spectrum_bytes(block_form_eigenstates(u, roots)) == spectrum_bytes(spectrum)
+        if isinstance(spectrum, str):
+            routes[spectrum] += 1
+            spectrum = dense_eigendecomposition(u)  # the fallback
+        else:
+            routes["closed form"] += 1
+        assert spectrum_bytes(spectrum_closed_form(u)) == spectrum_bytes(spectrum)
+    # The inputs reach every route.
+    assert routes["closed form"] > 200 and routes["solve_cubic"] > 0 and routes["block_form_eigenstates"] > 0
+
+
+# Near-collision points where the alternating pair's closed form gives way to the oracle.
+SNAPPED_POINTS = ((0.0, 1e-4), (1e-6, 1e-8), (2.0 * np.pi / 3.0, 1e-5), (-2.827433388230814, np.pi))
+
+
+def test_alternating_pair_root_matches_its_reference_form_on_the_nu0_grid():
+    grid = [(alpha, phi) for alpha in DEFAULT_ALPHA_FAMILY for phi in np.arange(0.0, 2.0 * np.pi, 0.01)]
+    snapped = 0
+    for alpha, phi in grid + list(SNAPPED_POINTS):
+        root, was_snapped = reference_alternating_pair_root(alpha, phi)
+        assert np.complex128(alternating_pair_root(alpha, phi)).tobytes() == np.complex128(root).tobytes()
+        snapped += was_snapped
+    assert snapped == len(SNAPPED_POINTS)

@@ -198,6 +198,12 @@ class TestErrorExits:
     def test_bad_phase(self, capsys, phase):
         assert self.check_error(capsys, ["demo", "phase-est", "--phase", phase], "--phase") == ""
 
+    @pytest.mark.parametrize("bits", ["0", "9"])
+    def test_bad_bits_named_before_output_opens(self, tmp_path, capsys, bits):
+        out = tmp_path / "x.csv"
+        assert self.check_error(capsys, ["demo", "phase-est", "--bits", bits, "--output", str(out)], "--bits") == ""
+        assert not out.exists()
+
     def test_bad_alpha_family(self, tmp_path, capsys):
         argv = ["figure", "nu0-sweep", "--alpha-family", "x", "--output", str(tmp_path / "x.csv")]
         assert self.check_error(capsys, argv, "--alpha-family") == ""

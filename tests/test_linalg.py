@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cyclonet import linalg
 from cyclonet import (
     compile_cycle,
     control_down_matrix,
@@ -58,6 +59,26 @@ class TestDenseEigendecomposition:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="unitary"):
             dense_eigendecomposition(np.ones((3, 3)))
+
+    @pytest.mark.parametrize(
+        "info, error, message",
+        [
+            (1, np.linalg.LinAlgError, "Schur form not found"),
+            (4, np.linalg.LinAlgError, "Schur form not found"),
+            (-2, ValueError, "illegal value in 2-th argument"),
+        ],
+    )
+    def test_failed_schur_raises_like_scipy(self, monkeypatch, info, error, message):
+        # zgees reports a QR iteration that did not converge with 0 < info <= n
+        # and a bad argument with info < 0; scipy.linalg.schur raises these.
+        zgees = linalg._ZGEES
+
+        def failing_zgees(*args, **kwargs):
+            return (*zgees(*args, **kwargs)[:-1], info)
+
+        monkeypatch.setattr(linalg, "_ZGEES", failing_zgees)
+        with pytest.raises(error, match=message):
+            dense_eigendecomposition(np.eye(4))
 
     def test_phases_sorted_and_unimodular(self):
         rng = np.random.default_rng(7)
