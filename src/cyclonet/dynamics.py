@@ -104,6 +104,8 @@ def so3_example_closed_form(phi: float) -> CyclePowerTable:
     vanish); near those points the table's denominators blow up and a
     DegenerateSpectrumError directs callers to the spectral route instead.
     """
+    if not abs(phi) < np.inf:  # false for NaN too
+        raise ValueError(f"argument 'phi' must be finite, got {phi}")
     c, s = float(np.cos(phi)), float(np.sin(phi))
     if abs(s) < TABLE_SINGULAR_TOL or abs(c + 1.0) < TABLE_SINGULAR_TOL:
         raise DegenerateSpectrumError(f"closed-form table singular at phi = {phi}")

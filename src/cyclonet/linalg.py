@@ -20,6 +20,7 @@ UNITARY_TOL = 1e-10  # largest entry of U†U − I accepted as unitary
 STATE_TOL = 1e-10  # largest |‖v‖ − 1| accepted as a normalized state
 MEMBERSHIP_TOL = 1e-10  # group tests: inert-|00> row/column, real block, det 1, orthogonality
 ROOT_TOL = 1e-8  # closed-form roots: largest |‖λ‖ − 1|, smallest separation for cofactor vectors
+CANCEL_RATIO = 1e-3  # Cardano w cancelled: |w| below this share of |q/2| tries the conjugate branch first
 ZERO_TOL = 1e-12  # a Cardano intermediate, cofactor norm or entry whose angle is read counts as 0
 PHASE_FLOOR = 1e-15  # entry too small to carry a phase (eigenvector canonicalization, Givens)
 TRACE_SLACK = 1e-9  # slack on the real-trace range [-1, 3] of a rotation block

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import PerturbationScenario, amplitude_series, matrix_power_spectral, perturb
+from .dynamics import amplitude_series, matrix_power_spectral
 from .gates import CyclicNetwork, compile_cycle
 from .linalg import Spectrum, basis_state, check_state, dense_eigendecomposition
 
@@ -85,52 +85,39 @@ class SensorReading:
     """Probability of finding the cycle back in its reference state, and the verdict."""
 
     p_psi3: float
-    detected: bool
+
+    @property
+    def detected(self) -> bool:
+        """A reading counts as a detection when the probability is below 1/2."""
+        return self.p_psi3 < 0.5
 
 
-def sensor_probability(net: CyclicNetwork, acyclic_state, n_prime: int) -> float:
-    """Probability of finding the cycle back in |00> after a probe crossing.
-
-    Accepts an arbitrary probe superposition (a0, a1); the detection
-    protocol itself only uses the two basis inputs, where the probability is
-    exactly 1 (probe |0>) or 0 (probe |1>).  For a superposition it equals
-    |a0|^2, since the flipped branch never regains |00> overlap.
-    """
-    scenario = PerturbationScenario(
-        net=net,
-        acyclic_state=tuple(acyclic_state),
-        cycles_before=0,
-        cycles_after=n_prime,
-        initial_state=basis_state(4, 0),
-    )
-    out = perturb(scenario)
-    # Reference-state probability regardless of the probe bit: |a00> components.
-    return float(abs(out[0]) ** 2 + abs(out[4]) ** 2)
+def _check_sensor(net: CyclicNetwork, acyclic_bit: int, n_prime: int, count_name: str) -> None:
+    if acyclic_bit not in (0, 1):
+        raise ValueError(f"acyclic_bit must be 0 or 1, got {acyclic_bit}")
+    if net.qubits != 2:
+        raise ValueError(f"the sensor needs a two-qubit cycle, got {net.qubits} qubits")
+    if n_prime < 0:
+        raise ValueError(f"{count_name} must be non-negative, got {n_prime}")
 
 
 def sensor_run(net: CyclicNetwork, acyclic_bit: int, n_prime: int) -> SensorReading:
     """Detect whether a probe qubit in |1> crossed the cycle's control gate.
 
-    The cycle starts in the inert |00> reference state.  A probe bit 0
-    leaves it there (probability 1 at every n'); a probe bit 1 flips the
-    cycle into the active subspace, which never returns to |00>.  The
-    reading counts as a detection when the probability is below 1/2.
+    The cycle starts in the inert |00> reference state, and a probe bit b
+    leaves it as |0b>, so the probability after n' cycles is
+    |<00| U^n' |0b>|^2.  A probe bit 0 leaves the cycle in |00>
+    (probability 1 at every n'); a probe bit 1 flips it into the active
+    subspace, which never returns to |00>.
     """
-    if acyclic_bit not in (0, 1):
-        raise ValueError("acyclic_bit must be 0 or 1")
-    probe = (1.0, 0.0) if acyclic_bit == 0 else (0.0, 1.0)
-    p = sensor_probability(net, probe, n_prime)
-    return SensorReading(p_psi3=p, detected=p < 0.5)
+    _check_sensor(net, acyclic_bit, n_prime, "n_prime")
+    amplitude = matrix_power_spectral(compile_cycle(net), n_prime)[0, acyclic_bit]
+    return SensorReading(p_psi3=float(abs(amplitude) ** 2))
 
 
 def sensor_series(net: CyclicNetwork, acyclic_bit: int, n_prime_max: int) -> np.ndarray:
-    """sensor_run's probability for every n' = 0 .. n_prime_max, from one spectrum.
-
-    A probe bit b leaves the reference state |00> as |0b>, so the
-    probability after n' cycles is |<00| U^n' |0b>|^2.
-    """
-    if acyclic_bit not in (0, 1) or net.qubits != 2 or n_prime_max < 0:
-        raise ValueError("the sensor needs a probe bit 0 or 1, a two-qubit cycle and n_prime_max >= 0")
+    """sensor_run's probability for every n' = 0 .. n_prime_max, from one spectrum."""
+    _check_sensor(net, acyclic_bit, n_prime_max, "n_prime_max")
     spectrum = dense_eigendecomposition(compile_cycle(net))
     return np.abs(amplitude_series(spectrum, 0, basis_state(4, acyclic_bit), n_prime_max)) ** 2
 

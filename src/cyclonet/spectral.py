@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import alternating_pair_network, compile_cycle
-from .linalg import ROOT_TOL, TRACE_SLACK, ZERO_TOL
+from .linalg import CANCEL_RATIO, ROOT_TOL, TRACE_SLACK, ZERO_TOL
 from .linalg import Spectrum, check_block_form, check_unitary, dense_eigendecomposition
 
 log = logging.getLogger(__name__)
@@ -128,29 +128,31 @@ def solve_cubic(coeffs: CubicCoefficients) -> np.ndarray:
     the principal square-root branch spoils that, the conjugate branch is
     tried, and a still-failing or vanishing-w case raises
     DegenerateSpectrumError so callers can fall back to the dense oracle.
+    A w whose two terms cancelled (|w| < CANCEL_RATIO·|q/2|) keeps few
+    correct digits, so the conjugate branch is then tried first.
     """
     if abs(coeffs.w) < ZERO_TOL:
         if abs(coeffs.p) < ZERO_TOL:
             # Triple root.
             return np.full(3, -coeffs.a1 / 3.0, dtype=complex)
         raise DegenerateSpectrumError("vanishing Cardano radicand with nonzero depressed coefficient")
-    roots = _cardano_roots(coeffs.w, coeffs.p, coeffs.a1)
-    if _unimodular(roots):
-        return np.array(roots)
-    # Python's divisions and powers, as for a1 / 3 in _cardano_roots.
-    w_alt = coeffs.q / 2.0 - complex(np.sqrt(complex(coeffs.q**2 / 4.0 + coeffs.p**3 / 27.0)))
-    if abs(w_alt) >= ZERO_TOL:
-        roots = _cardano_roots(w_alt, coeffs.p, coeffs.a1)
-        if _unimodular(roots):
-            return np.array(roots)
+    cancelled = abs(coeffs.w) < CANCEL_RATIO * abs(coeffs.q / 2.0)
+    for conjugate in (cancelled, not cancelled):
+        w = coeffs.w
+        if conjugate:  # Python's divisions and powers, as for a1 / 3 in _cardano_roots
+            w = coeffs.q / 2.0 - complex(np.sqrt(complex(coeffs.q**2 / 4.0 + coeffs.p**3 / 27.0)))
+        if abs(w) >= ZERO_TOL:
+            roots = _cardano_roots(w, coeffs.p, coeffs.a1)
+            if _unimodular(roots):
+                return np.array(roots)
     raise DegenerateSpectrumError("both Cardano branches produced non-unimodular roots")
 
 
 def real_trace_eigenvalues(trace: float) -> np.ndarray:
     """Roots {1, e^{i nu}, e^{-i nu}} with cos nu = (tr - 1)/2, for real trace in [-1, 3]."""
     trace = float(trace)
-    if trace < -1.0 - TRACE_SLACK or trace > 3.0 + TRACE_SLACK:
-        raise ValueError(f"real trace {trace} outside [-1, 3]")
+    if not -1.0 - TRACE_SLACK <= trace <= 3.0 + TRACE_SLACK:  # false for NaN too
+        raise ValueError(f"argument 'trace' must be finite and in [-1, 3], got {trace}")
     radicand = max((3.0 - trace) * (trace + 1.0), 0.0)
     re = (trace - 1.0) / 2.0
     im = np.sqrt(radicand) / 2.0

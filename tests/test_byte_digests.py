@@ -41,7 +41,7 @@ from cyclonet import (
     unitarity_defect,
 )
 from cyclonet.cli import DEFAULT_ALPHA_FAMILY
-from cyclonet.linalg import MEMBERSHIP_TOL, PHASE_FLOOR, ROOT_TOL, ZERO_TOL, is_block_form
+from cyclonet.linalg import CANCEL_RATIO, MEMBERSHIP_TOL, PHASE_FLOOR, ROOT_TOL, ZERO_TOL, is_block_form
 
 from helpers import EDGE_ANGLES, byte_battery
 
@@ -53,13 +53,15 @@ POWERS = (1, 12345, 10**6)
 # OpenBLAS 0.3.31.  They hash raw BLAS and LAPACK output, and OpenBLAS picks
 # its kernels by CPU, so another build, CPU or Python may differ in the last
 # bit; the reference-form test at the end of this file is the portable guard.
+# spectrum_closed_form was re-recorded when solve_cubic began trying the
+# conjugate branch first on a cancelled w (CANCEL_RATIO).
 LAYER_SHA256 = {
     "gate_matrix": "e60e4b76fe4fd65308f51078b0ffe00218d97385a1a4252e975f55a0eed912f3",
     "compile_cycle": "638fcc3721423799d9364dfdb6809530f0bd57eafeaa6078cd03529fafa16516",
     "unitarity_defect": "a484189d8bc15d97f83a1947e4a5404db98dbc0f15d22453a88d850d3a9f7ed7",
     "classify": "b1ef4dee34e3e7ef816eef445f6a8b06b3a70cd79ad586391fe497122cc3300d",
     "dense_eigendecomposition": "73de820ba11f4531cea7934fbd2b8a20a51f8fc004d38fd4b7e466056a56335f",
-    "spectrum_closed_form": "3eca1c80d3a14713ad7d34b0947b3eb90a1708af5927aba6905f2bb1a7ec2fff",
+    "spectrum_closed_form": "80111a38d9ef14d0fd826bd73731ad787e085b8ac6daecb963b18b973ef7a2c7",
     "matrix_power_spectral n=1": "0d77b896bda5b84b3a95bc7179e49e9d3410d3539704b1d19984bd36dfd507f3",
     "matrix_power_spectral n=12345": "7e3a0f9d336207cb6e86fb040fe07f002bcb14315af69f9eee1ce09df5f88103",
     "matrix_power_spectral n=1000000": "6ec92766d6c86291e291116d14f2b86ce6e7b5f37fe5eacf12367b5632c0960c",
@@ -240,14 +242,15 @@ def reference_solve_cubic(coeffs):
         if abs(coeffs.p) < ZERO_TOL:
             return np.full(3, -coeffs.a1 / 3.0, dtype=complex)
         raise DegenerateSpectrumError("vanishing w")
-    roots = reference_cardano_roots(coeffs.w, coeffs.p, coeffs.a1)
-    if np.max(np.abs(np.abs(roots) - 1.0)) < ROOT_TOL:
-        return roots
     w_alt = coeffs.q / 2.0 - np.sqrt(complex(coeffs.q**2 / 4.0 + coeffs.p**3 / 27.0))
-    if abs(w_alt) >= ZERO_TOL:
-        roots = reference_cardano_roots(w_alt, coeffs.p, coeffs.a1)
-        if np.max(np.abs(np.abs(roots) - 1.0)) < ROOT_TOL:
-            return roots
+    branches = (coeffs.w, w_alt)
+    if abs(coeffs.w) < CANCEL_RATIO * abs(coeffs.q / 2.0):
+        branches = (w_alt, coeffs.w)  # w cancelled
+    for w in branches:
+        if abs(w) >= ZERO_TOL:
+            roots = reference_cardano_roots(w, coeffs.p, coeffs.a1)
+            if np.max(np.abs(np.abs(roots) - 1.0)) < ROOT_TOL:
+                return roots
     raise DegenerateSpectrumError("both branches")
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cyclonet import Spectrum, dynamics, protocols
+from cyclonet import Spectrum, cli, dynamics, linalg, protocols, spectral
 from cyclonet.cli import main
 
 
@@ -319,6 +319,32 @@ class TestDemos:
         rows = out.read_text().splitlines()
         assert rows[0] == "n_prime,p_psi3"
         assert len(rows) == 52
+
+    @pytest.mark.parametrize("bit", ["0", "1"])
+    def test_sensor_demo_takes_one_spectrum(self, monkeypatch, capsys, bit):
+        calls = []
+        for module in (linalg, spectral, dynamics, protocols, cli):
+            oracle = module.dense_eigendecomposition
+
+            def counted(u, oracle=oracle):
+                calls.append(1)
+                return oracle(u)
+
+            monkeypatch.setattr(module, "dense_eigendecomposition", counted)
+        assert main(["demo", "sensor", "--bit", bit, "--nprime-max", "300"]) == 0
+        assert len(calls) == 1
+
+    def test_sensor_demo_checks_the_printed_last_entry(self, monkeypatch, capsys):
+        series = protocols.sensor_series
+
+        def skewed_series(net, bit, n_prime_max):
+            probabilities = series(net, bit, n_prime_max)
+            probabilities[-1] += 1e-6
+            return probabilities
+
+        monkeypatch.setattr(protocols, "sensor_series", skewed_series)
+        assert main(["demo", "sensor", "--bit", "1", "--nprime-max", "300"]) == 1
+        assert "P(psi3)=0.000001000 detected=true" in capsys.readouterr().out
 
     def test_phase_estimation_demo(self, capsys):
         assert main(["demo", "phase-est", "--phase", "1/8", "--bits", "3"]) == 0

@@ -30,6 +30,8 @@ from cyclonet import (
     loads_network,
     network_from_json,
     network_to_json,
+    real_trace_eigenvalues,
+    so3_example_closed_form,
     two_level_matrix,
     u2_matrix,
     unitarity_defect,
@@ -362,6 +364,9 @@ class TestGateSpecValidation:
             (lambda x: SingleQubit(1, delta=x), "delta"),
             (lambda x: TwoLevel(3, 4, 0.1, 0.2, gamma_r=x), "gamma_r"),
             (lambda x: DiagonalLayer((0.0, x, 0.0, 0.0)), "gamma2"),
+            # Library helpers name their argument the same way.
+            (so3_example_closed_form, "phi"),
+            (real_trace_eigenvalues, "trace"),
         ],
     )
     def test_non_finite_angle_rejected(self, make, field, bad):

@@ -8,9 +8,11 @@ import pytest
 from cyclonet import (
     CyclicNetwork,
     DiagonalLayer,
+    PerturbationScenario,
     SingleQubit,
     Spectrum,
     alternating_pair_network,
+    basis_state,
     compile_cycle,
     cycle_applications,
     dense_eigendecomposition,
@@ -19,10 +21,10 @@ from cyclonet import (
     matrix_power_spectral,
     memory_retrieve,
     memory_store,
+    perturb,
     phase_estimation_demo,
     reset_cycle_applications,
     rotation_pair_spectrum,
-    sensor_probability,
     sensor_run,
     sensor_series,
 )
@@ -146,6 +148,19 @@ class TestSensor:
         with pytest.raises(ValueError):
             sensor_run(alternating_pair_network(1.0), 2, 10)
 
+    @pytest.mark.parametrize(
+        "net, bit, n_prime, field",
+        [
+            (alternating_pair_network(1.0), 2, 10, "acyclic_bit"),
+            (CyclicNetwork(1, (SingleQubit(1, 0.0, 0.7, 0.0, 0.0),)), 1, 10, "qubit"),
+            (alternating_pair_network(1.0), 1, -1, "n_prime"),
+        ],
+    )
+    @pytest.mark.parametrize("sensor", [sensor_run, sensor_series])
+    def test_bad_input_error_names_the_field(self, sensor, net, bit, n_prime, field):
+        with pytest.raises(ValueError, match=field):
+            sensor(net, bit, n_prime)
+
     @pytest.mark.parametrize("bit", [0, 1])
     @pytest.mark.parametrize("phi", [-7.0, -2.5, 0.3, 1.2, 3.0, 6.9])
     def test_series_matches_stepwise_oracle(self, bit, phi):
@@ -189,13 +204,22 @@ class TestSensor:
             sensor_series(net, bit, n_prime_max)
 
     def test_superposed_probe_gives_partial_weight(self):
-        # General probe input is exposed; only the basis cases are protocol
-        # assertions, but a superposition lands at |a0|^2 exactly.
+        # The sensor uses only the basis probes; a superposition (a0, a1) leaves
+        # the cycle in |00> with weight |a0|^2 exactly, since the flipped branch
+        # never regains |00> overlap.
         net = alternating_pair_network(1.1)
         for a0 in (0.6, 1 / np.sqrt(2), 0.3):
             a1 = np.sqrt(1 - a0**2)
             for n_prime in (0, 3, 57):
-                p = sensor_probability(net, (a0, a1), n_prime)
+                scenario = PerturbationScenario(
+                    net=net,
+                    acyclic_state=(a0, a1),
+                    cycles_before=0,
+                    cycles_after=n_prime,
+                    initial_state=basis_state(4, 0),
+                )
+                out = perturb(scenario)
+                p = abs(out[0]) ** 2 + abs(out[4]) ** 2  # |a,00> for probe a = 0, 1
                 assert abs(p - a0**2) < 1e-12
 
 

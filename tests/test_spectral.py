@@ -72,6 +72,29 @@ class TestSolveCubic:
             oracle = dense_eigendecomposition(m).eigenvalues()
             assert eigenvalue_multiset_deviation(roots, oracle) < 1e-8
 
+    def test_cancelled_radicand_root_takes_the_conjugate_branch(self):
+        # w = q/2 + sqrt(q^2/4 + p^3/27) cancels to |w| = 4.4e-10 with |q| = 1 on
+        # this U3 cycle; its roots still pass the unimodularity test, but on that
+        # branch the closed-form eigenvalues missed the oracle by 1.5e-8.
+        net = CyclicNetwork(
+            2,
+            (
+                ControlUp(1.5487658018543238, 1.3264723477149483, 1.5623965331686227, 1.42875392257762),
+                ControlDown(1.5588574454163675, -2.808187617128669, 3.1182265697327187, 0.3572258984978127),
+                ControlUp(-3.072123994676343, -2.7415393658344356, -1.851601794382706, 1.5814861728642962),
+                ControlDown(-0.5308187979728891, 1.88670521327336, 1.033328753258517, -0.6230565144379403),
+                ControlUp(-1.2535714462225687, 2.6026488092708284, 0.41100112583828974, -1.6596546465505513),
+                ControlDown(1.9238256311027815, -2.6450902247213377, -2.501533299134455, 0.3527177258702934),
+            ),
+        )
+        g = compile_cycle(net)
+        coeffs = cubic_coefficients(g[1:, 1:])
+        assert abs(coeffs.w) < 1e-9 * abs(coeffs.q / 2)
+        spectrum = spectrum_closed_form(g)
+        assert spectrum.normalizations is not None  # the closed form, not the oracle fallback
+        oracle = dense_eigendecomposition(g).eigenvalues()
+        assert eigenvalue_multiset_deviation(spectrum.eigenvalues(), oracle) < 1e-8
+
     def test_roots_unimodular(self):
         rng = np.random.default_rng(23)
         for _ in range(200):
