@@ -38,11 +38,12 @@ from .gates import (
     alternating_pair_network,
     compile_cycle,
     compress_network,
+    cycle_spectrum,
     load_network,
 )
 from .group import classify
 from .linalg import DEMO_ESTIMATE_TOL, DEMO_FIDELITY_TOL, DEMO_RESIDUAL_TOL
-from .linalg import dense_eigendecomposition, matrix_power_direct, unitarity_defect
+from .linalg import matrix_power_direct, unitarity_defect
 from .spectral import DegenerateSpectrumError, alternating_pair_root
 
 DEFAULT_ALPHA_FAMILY = tuple(
@@ -204,7 +205,7 @@ def _demo_phase_est(args) -> int:
         raise ValueError(f"--phase must be a fraction such as 1/8, got {args.phase!r}") from None
     _check_output(args.output)
     net = CyclicNetwork(2, (DiagonalLayer((0.0, 2.0 * np.pi * fraction, 0.0, 0.0)),))
-    spectrum = dense_eigendecomposition(compile_cycle(net))
+    spectrum = cycle_spectrum(net)
     target = np.angle(np.exp(2j * np.pi * fraction))
     index = int(np.argmin(np.abs(np.exp(1j * spectrum.phases) - np.exp(1j * target))))
     result = protocols.phase_estimation_demo(net, index, args.bits)

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import SIGMA_X, CyclicNetwork, alternating_pair_network, compile_cycle
-from .linalg import TABLE_SINGULAR_TOL, Spectrum, check_state, check_unitary, dense_eigendecomposition
+from .gates import SIGMA_X, CyclicNetwork, alternating_pair_network, compile_cycle, cycle_spectrum
+from .linalg import TABLE_SINGULAR_TOL, Spectrum, check_integer, check_state, check_unitary, dense_eigendecomposition
 from .spectral import (
     DegenerateSpectrumError,
     block_form_eigenstates,
@@ -33,7 +33,11 @@ PERTURBED_BASIS_LABELS = ("100", "101", "110", "111")
 
 
 def matrix_power_spectral(u, n: int, spectrum: Spectrum | None = None) -> np.ndarray:
-    """U^n assembled from the eigenbasis; cost independent of n, negative n allowed."""
+    """U^n assembled from the eigenbasis; cost independent of n, negative n allowed.
+
+    Library callers pass cycle_spectrum(net).  spectrum=None serves bare arrays (tests, the layer
+    digests); perfbench passes (u, n, spectrum) by position, and without the default u is unused.
+    """
     u = np.asarray(u, dtype=complex)
     if spectrum is None:
         spectrum = dense_eigendecomposition(u)
@@ -42,14 +46,15 @@ def matrix_power_spectral(u, n: int, spectrum: Spectrum | None = None) -> np.nda
 
 
 def evolve(net: CyclicNetwork, psi0, n: int) -> np.ndarray:
-    """State after n cycles, via the eigenbasis expansion of the cycle unitary."""
+    """State after n cycles (n < 0 runs them backwards), from the network's stored spectrum."""
     u = compile_cycle(net)
     psi0 = check_state(psi0)
+    check_integer(n, "n", low=-np.inf)
     if psi0.shape[0] != u.shape[0]:
         raise ValueError(
             f"dimension mismatch: network dimension {u.shape[0]}, state {psi0.shape[0]}"
         )
-    return matrix_power_spectral(u, n) @ psi0
+    return matrix_power_spectral(u, n, cycle_spectrum(net)) @ psi0
 
 
 def amplitude_series(spectrum: Spectrum, row: int, start, n_max: int) -> np.ndarray:
@@ -188,13 +193,13 @@ def perturb(scenario: PerturbationScenario) -> np.ndarray:
     """Joint probe+cycle state after n cycles, one coupling event, and n' more cycles."""
     if scenario.net.qubits != 2:
         raise ValueError("perturbation scenarios require a two-qubit cycle")
-    if scenario.cycles_before < 0 or scenario.cycles_after < 0:
-        raise ValueError("cycle counts must be non-negative")
+    check_integer(scenario.cycles_before, "cycles_before")
+    check_integer(scenario.cycles_after, "cycles_after")
     u = compile_cycle(scenario.net)
     psi = check_state(scenario.initial_state)
     phi_vec = scenario.probe_vector()
     w = scenario.operator()
-    spectrum = dense_eigendecomposition(u)
+    spectrum = cycle_spectrum(scenario.net)
     u_before = matrix_power_spectral(u, scenario.cycles_before, spectrum)
     u_after = matrix_power_spectral(u, scenario.cycles_after, spectrum)
     if scenario.coupling == "control_on_acyclic":
@@ -243,10 +248,8 @@ def perturbed_amplitude_series(
     controlled-Not with control on the probe.  Returns the amplitudes of
     |basis> for n' = 0 .. n_prime_max; the |100> series is constant.
     """
-    if k not in (0, 1, 2):
-        raise ValueError("eigenstate index k must be 0, 1 or 2")
-    if n_prime_max < 0:
-        raise ValueError("n_prime_max must be non-negative")
+    check_integer(k, "k", 0, 2)
+    check_integer(n_prime_max, "n_prime_max")
     idx = _basis_index(basis)
     spectrum = rotation_pair_spectrum(phi)
     flipped = np.kron(_EYE2, SIGMA_X) @ spectrum.vectors[:, k]
@@ -261,8 +264,7 @@ def closed_form_amplitude(phi: float, k: int, basis: str, n_prime) -> np.ndarray
     with the flipped-eigenstate components; n' may be a scalar or array and
     need not be an integer (the continuous background curve).
     """
-    if k not in (0, 1, 2):
-        raise ValueError("eigenstate index k must be 0, 1 or 2")
+    check_integer(k, "k", 0, 2)
     idx = _basis_index(basis)
     table = so3_example_closed_form(phi)
     spectrum = rotation_pair_spectrum(phi)
@@ -299,19 +301,15 @@ def chain_evolve(nets, acyclic_state, initial_states, n_prime: int) -> np.ndarra
     if len(initial_states) != q:
         raise ValueError("need one initial state per cycle")
     probe = check_state(np.asarray(acyclic_state, dtype=complex))
-    if n_prime < 0:
-        raise ValueError("n_prime must be non-negative")
+    check_integer(n_prime, "n_prime")
     flip_bottom = np.kron(_EYE2, SIGMA_X)
     branch0 = []
     branch1 = []
     for j, (net, psi) in enumerate(zip(nets, initial_states), start=1):
         if net.qubits != 2:
             raise ValueError("chain links must be two-qubit cycles")
-        u = compile_cycle(net)
-        spectrum = dense_eigendecomposition(u)
-        branch0.append(matrix_power_spectral(u, n_prime + q, spectrum) @ psi)
-        pre = matrix_power_spectral(u, j, spectrum) @ psi
-        branch1.append(matrix_power_spectral(u, n_prime + q - j, spectrum) @ flip_bottom @ pre)
+        branch0.append(evolve(net, psi, n_prime + q))
+        branch1.append(evolve(net, flip_bottom @ evolve(net, psi, j), n_prime + q - j))
     out0 = np.kron(_P0 @ probe, functools.reduce(np.kron, reversed(branch0)))  # cycle q leftmost
     out1 = np.kron(_P1 @ probe, functools.reduce(np.kron, reversed(branch1)))
     return out0 + out1

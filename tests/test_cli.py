@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -12,8 +13,24 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cyclonet import Spectrum, cli, dynamics, linalg, protocols, spectral
+from cyclonet import Spectrum, dynamics, linalg, protocols
 from cyclonet.cli import main
+
+
+@pytest.fixture
+def schur_calls(monkeypatch):
+    """Records each dense_eigendecomposition call, through every cyclonet module that binds the name."""
+    calls = []
+    oracle = linalg.dense_eigendecomposition
+
+    def counted(u):
+        calls.append(1)
+        return oracle(u)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "cyclonet" and getattr(module, "dense_eigendecomposition", None) is oracle:
+            monkeypatch.setattr(module, "dense_eigendecomposition", counted)
+    return calls
 
 
 def write_net(path, doc):
@@ -321,18 +338,17 @@ class TestDemos:
         assert len(rows) == 52
 
     @pytest.mark.parametrize("bit", ["0", "1"])
-    def test_sensor_demo_takes_one_spectrum(self, monkeypatch, capsys, bit):
-        calls = []
-        for module in (linalg, spectral, dynamics, protocols, cli):
-            oracle = module.dense_eigendecomposition
-
-            def counted(u, oracle=oracle):
-                calls.append(1)
-                return oracle(u)
-
-            monkeypatch.setattr(module, "dense_eigendecomposition", counted)
+    def test_sensor_demo_takes_one_spectrum(self, schur_calls, capsys, bit):
         assert main(["demo", "sensor", "--bit", bit, "--nprime-max", "300"]) == 0
-        assert len(calls) == 1
+        assert len(schur_calls) == 1
+
+    @pytest.mark.parametrize(
+        "demo, spectra", [("phase-est", 1), ("memory", 1)] + [(f"chain --links {q}", q) for q in range(1, 5)]
+    )
+    def test_one_schur_spectrum_per_distinct_cycle(self, schur_calls, capsys, demo, spectra):
+        # Each demo builds its cycles afresh; every reader of one cycle shares its stored spectrum.
+        assert main(["demo", *demo.split()]) == 0
+        assert len(schur_calls) == spectra
 
     def test_sensor_demo_checks_the_printed_last_entry(self, monkeypatch, capsys):
         series = protocols.sensor_series

@@ -61,6 +61,32 @@ class TestEvolve:
         with pytest.raises(ValueError, match="mismatch"):
             evolve(alternating_pair_network(0.5), basis_state(2, 0), 1)
 
+    def test_negative_and_numpy_counts(self):
+        rng = np.random.default_rng(63)
+        net = random_alternating_network(rng)
+        psi = random_state(4, rng)
+        np.testing.assert_allclose(evolve(net, evolve(net, psi, np.int64(5)), -5), psi, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "function, args, field",
+        [
+            (evolve, (alternating_pair_network(0.5), basis_state(4, 1), float("nan")), "n"),
+            (evolve, (alternating_pair_network(0.5), basis_state(4, 1), 0.5), "n"),
+            (evolve, (alternating_pair_network(0.5), basis_state(4, 1), True), "n"),
+            (perturbed_amplitude_series, (1.0, 0, "110", 2.5), "n_prime_max"),
+            (perturbed_amplitude_series, (1.0, 0, "110", -1), "n_prime_max"),
+            (perturbed_amplitude_series, (1.0, 1.0, "110", 10), "k"),
+            (closed_form_amplitude, (1.0, 1.0, "110", 10), "k"),
+            (chain_evolve, ([alternating_pair_network(0.5)], (1.0, 0.0), [basis_state(4, 1)], 1.5), "n_prime"),
+            (chain_evolve, ([alternating_pair_network(0.5)], (1.0, 0.0), [basis_state(4, 1)], -1), "n_prime"),
+            (perturb, (PerturbationScenario(alternating_pair_network(0.5), (1, 0), 2.5, 1, basis_state(4, 1)),), "cycles_before"),
+            (perturb, (PerturbationScenario(alternating_pair_network(0.5), (1, 0), 1, -1, basis_state(4, 1)),), "cycles_after"),
+        ],
+    )
+    def test_bad_count_error_names_the_field(self, function, args, field):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            function(*args)
+
     def test_norm_preserved(self):
         rng = np.random.default_rng(62)
         for _ in range(50):

@@ -25,6 +25,8 @@ from cyclonet import (
     compress_same_orientation,
     control_down_matrix,
     control_up_matrix,
+    cycle_spectrum,
+    dense_eigendecomposition,
     dumps_network,
     gate_matrix,
     loads_network,
@@ -213,6 +215,23 @@ class TestCompile:
         for clone in (copy.deepcopy(net), pickle.loads(pickle.dumps(net))):
             assert not compile_cycle(clone).flags.writeable
             assert compile_cycle(clone).tobytes() == u.tobytes()
+
+    def test_spectrum_once_per_network_and_read_only(self):
+        net = random_alternating_network(np.random.default_rng(16), kind="u3")
+        spectrum = cycle_spectrum(net)
+        assert cycle_spectrum(net) is spectrum
+        oracle = dense_eigendecomposition(compile_cycle(net))
+        assert spectrum.phases.tobytes() == oracle.phases.tobytes()
+        assert spectrum.vectors.tobytes() == oracle.vectors.tobytes()
+        # An equal but distinct network computes its own, to the same bytes.
+        twin = CyclicNetwork(2, net.gates)
+        assert twin == net and cycle_spectrum(twin) is not spectrum
+        for clone in (twin, copy.deepcopy(net), pickle.loads(pickle.dumps(net))):
+            got = cycle_spectrum(clone)
+            for ours, stored in ((got.phases, spectrum.phases), (got.vectors, spectrum.vectors)):
+                assert ours.tobytes() == stored.tobytes()
+                with pytest.raises(ValueError, match="read-only"):
+                    ours[0] = 0.0
 
     def test_classify_reuses_the_compiled_cycle(self, monkeypatch):
         built = []

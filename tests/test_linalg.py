@@ -11,6 +11,7 @@ from cyclonet import (
     haar_unitary,
     matrix_power_direct,
     alternating_pair_network,
+    basis_state,
     unitarity_defect,
 )
 
@@ -136,6 +137,11 @@ class TestDenseEigendecomposition:
 
 
 class TestInputChecks:
+    @pytest.mark.parametrize("index", [True, 1.5, -1, 4])
+    def test_basis_index_must_be_an_integer_in_range(self, index):
+        with pytest.raises(ValueError, match="^index must"):
+            basis_state(4, index)
+
     def test_dense_eigendecomposition_rejects_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):
             dense_eigendecomposition(np.full((4, 4), np.nan))

@@ -125,6 +125,13 @@ class TestMemory:
         with pytest.raises(ValueError):
             memory_retrieve(record, -1)
 
+    @pytest.mark.parametrize("n", [-1, 2.5, float("nan"), True])
+    @pytest.mark.parametrize("retrieval", [memory_retrieve, inverse_cycle_operator])
+    def test_bad_cycle_count_error_names_the_field(self, retrieval, n):
+        record = memory_store(alternating_pair_network(1.0), basis_state(4, 1))
+        with pytest.raises(ValueError, match="^n must"):
+            retrieval(record, n)
+
 
 class TestSensor:
     def test_probe_zero_never_detects(self):
@@ -154,6 +161,10 @@ class TestSensor:
             (alternating_pair_network(1.0), 2, 10, "acyclic_bit"),
             (CyclicNetwork(1, (SingleQubit(1, 0.0, 0.7, 0.0, 0.0),)), 1, 10, "qubit"),
             (alternating_pair_network(1.0), 1, -1, "n_prime"),
+            (alternating_pair_network(1.0), 1, 2.5, "n_prime"),
+            (alternating_pair_network(1.0), 1, float("nan"), "n_prime"),
+            (alternating_pair_network(1.0), True, 3, "acyclic_bit"),
+            (alternating_pair_network(1.0), 1.0, 3, "acyclic_bit"),
         ],
     )
     @pytest.mark.parametrize("sensor", [sensor_run, sensor_series])
@@ -196,6 +207,7 @@ class TestSensor:
         [
             (alternating_pair_network(1.0), 2, 10),
             (alternating_pair_network(1.0), 1, -1),
+            (alternating_pair_network(1.0), 1, 2.5),
             (CyclicNetwork(1, (SingleQubit(1, 0.0, 0.7, 0.0, 0.0),)), 1, 10),
         ],
     )
@@ -284,3 +296,12 @@ class TestPhaseEstimation:
             phase_estimation_demo(net, index, 0)
         with pytest.raises(ValueError):
             phase_estimation_demo(net, index, 9)
+
+    @pytest.mark.parametrize(
+        "index, t, field",
+        [(0, 2.0, "t"), (0, True, "t"), (1.0, 2, "eigenstate_index"), (4, 2, "eigenstate_index"), (-1, 2, "eigenstate_index")],
+    )
+    def test_bad_input_error_names_the_field(self, index, t, field):
+        net, _ = diagonal_phase_network(0.25)
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            phase_estimation_demo(net, index, t)
