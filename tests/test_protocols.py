@@ -207,8 +207,8 @@ class TestSensor:
         [
             (alternating_pair_network(1.0), 2, 10),
             (alternating_pair_network(1.0), 1, -1),
-            (alternating_pair_network(1.0), 1, 2.5),
             (CyclicNetwork(1, (SingleQubit(1, 0.0, 0.7, 0.0, 0.0),)), 1, 10),
+            (alternating_pair_network(1.0), 1, 2.5),
         ],
     )
     def test_series_rejects_bad_input(self, net, bit, n_prime_max):
