@@ -12,7 +12,7 @@ and chains of cycles linked by one probe qubit evolve branch-by-branch.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -123,44 +123,36 @@ def so3_example_closed_form(phi: float) -> CyclePowerTable:
     d3 = s * s * d2
     d4 = s**3 * d2
     e = ClosedFormElement
-    elements = (
-        (
-            e((c + 1.0) / d1, 2.0 / d1, 0.0),
-            e(-(c + 1.0) / d1, (4.0 * c - 2.0 * c * c * cn - 2.0 * cn) / d3, -2.0 * sn / d2),
-            e(
-                -s / d1,
-                (2.0 * c**3 * cn - 6.0 * c * c + 6.0 * c * cn - 2.0 * c2n) / d4,
-                (-2.0 * c**3 * sn + 6.0 * c * sn - 2.0 * s2n) / d4,
-            ),
-        ),
-        (
-            e(-(c + 1.0) / d1, (4.0 * c - 2.0 * c * c * cn - 2.0 * cn) / d3, 2.0 * sn / d2),
-            e((c + 1.0) / d1, 2.0 / d1, 0.0),
-            e(
-                s / d1,
-                2.0 * (-(c**3) + 3.0 * c * c * cn - c * (c2n + 2.0) + cn) / d4,
-                2.0 * (c * c * sn - c * s2n + sn) / d4,
-            ),
-        ),
-        (
-            e(
-                -s / d1,
-                (2.0 * c**3 * cn - 6.0 * c * c + 6.0 * c * cn - 2.0 * c2n) / d4,
-                (2.0 * c**3 * sn - 6.0 * c * sn + 2.0 * s2n) / d4,
-            ),
-            e(
-                s / d1,
-                2.0 * (-(c**3) + 3.0 * c * c * cn - c * (c2n + 2.0) + cn) / d4,
-                2.0 * (-(c * c) * sn + c * s2n - sn) / d4,
-            ),
-            e((1.0 - c) / d1, 2.0 * (c + 1.0) / d1, 0.0),
-        ),
+    m00 = e((c + 1.0) / d1, 2.0 / d1, 0.0)
+    m01 = e(-(c + 1.0) / d1, (4.0 * c - 2.0 * c * c * cn - 2.0 * cn) / d3, -2.0 * sn / d2)
+    m02 = e(
+        -s / d1,
+        (2.0 * c**3 * cn - 6.0 * c * c + 6.0 * c * cn - 2.0 * c2n) / d4,
+        (-2.0 * c**3 * sn + 6.0 * c * sn - 2.0 * s2n) / d4,
     )
+    m12 = e(
+        s / d1,
+        2.0 * (-(c**3) + 3.0 * c * c * cn - c * (c2n + 2.0) + cn) / d4,
+        2.0 * (c * c * sn - c * s2n + sn) / d4,
+    )
+    m22 = e((1.0 - c) / d1, 2.0 * (c + 1.0) / d1, 0.0)
+    # The active block is real orthogonal, so U^-n is the transpose of U^n: a and b are
+    # symmetric in the two indices and c, the odd part in n, is antisymmetric.
+    m10, m20, m21 = (replace(m, c=-m.c) for m in (m01, m02, m12))
+    elements = ((m00, m01, m02), (m10, m00, m12), (m20, m21, m22))
     return CyclePowerTable(phi=float(phi), nu1=nu1, elements=elements)
 
 
 # ----------------------------------------------------------------------------
 # Acyclic-qubit perturbation
+
+
+def _sized_state(v, name: str, dim: int) -> np.ndarray:
+    """check_state(v), first refusing with the field's name a v that is not a dim-entry vector."""
+    v = np.asarray(v, dtype=complex)
+    if v.shape != (dim,):
+        raise ValueError(f"{name} must have {dim} entries, got shape {v.shape}")
+    return check_state(v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,10 +174,12 @@ class PerturbationScenario:
     coupling_operator: np.ndarray | None = None
 
     def probe_vector(self) -> np.ndarray:
-        return check_state(np.asarray(self.acyclic_state, dtype=complex))
+        return _sized_state(self.acyclic_state, "acyclic_state", 2)
 
     def operator(self) -> np.ndarray:
         w = SIGMA_X if self.coupling_operator is None else np.asarray(self.coupling_operator, complex)
+        if w.shape != (2, 2):
+            raise ValueError(f"coupling_operator must be 2x2, got shape {w.shape}")
         return check_unitary(w)
 
 
@@ -195,10 +189,12 @@ def perturb(scenario: PerturbationScenario) -> np.ndarray:
         raise ValueError("perturbation scenarios require a two-qubit cycle")
     check_integer(scenario.cycles_before, "cycles_before")
     check_integer(scenario.cycles_after, "cycles_after")
-    u = compile_cycle(scenario.net)
-    psi = check_state(scenario.initial_state)
+    if scenario.coupling not in ("control_on_acyclic", "target_on_acyclic"):
+        raise ValueError(f"coupling must be 'control_on_acyclic' or 'target_on_acyclic', got {scenario.coupling!r}")
+    psi = _sized_state(scenario.initial_state, "initial_state", 4)
     phi_vec = scenario.probe_vector()
     w = scenario.operator()
+    u = compile_cycle(scenario.net)
     spectrum = cycle_spectrum(scenario.net)
     u_before = matrix_power_spectral(u, scenario.cycles_before, spectrum)
     u_after = matrix_power_spectral(u, scenario.cycles_after, spectrum)
@@ -206,17 +202,13 @@ def perturb(scenario: PerturbationScenario) -> np.ndarray:
         w_bottom = np.kron(_EYE2, w)
         branch0 = u_after @ u_before @ psi
         branch1 = u_after @ w_bottom @ u_before @ psi
-        out = np.kron(_P0 @ phi_vec, branch0) + np.kron(_P1 @ phi_vec, branch1)
-    elif scenario.coupling == "target_on_acyclic":
-        p0_bottom = np.kron(_EYE2, _P0)
-        p1_bottom = np.kron(_EYE2, _P1)
-        evolved = u_before @ psi
-        branch0 = u_after @ p0_bottom @ evolved
-        branch1 = u_after @ p1_bottom @ evolved
-        out = np.kron(phi_vec, branch0) + np.kron(w @ phi_vec, branch1)
-    else:
-        raise ValueError(f"unknown coupling {scenario.coupling!r}")
-    return out
+        return np.kron(_P0 @ phi_vec, branch0) + np.kron(_P1 @ phi_vec, branch1)
+    p0_bottom = np.kron(_EYE2, _P0)  # target_on_acyclic
+    p1_bottom = np.kron(_EYE2, _P1)
+    evolved = u_before @ psi
+    branch0 = u_after @ p0_bottom @ evolved
+    branch1 = u_after @ p1_bottom @ evolved
+    return np.kron(phi_vec, branch0) + np.kron(w @ phi_vec, branch1)
 
 
 def rotation_pair_spectrum(phi: float) -> Spectrum:
@@ -300,7 +292,7 @@ def chain_evolve(nets, acyclic_state, initial_states, n_prime: int) -> np.ndarra
     initial_states = [check_state(s) for s in initial_states]
     if len(initial_states) != q:
         raise ValueError("need one initial state per cycle")
-    probe = check_state(np.asarray(acyclic_state, dtype=complex))
+    probe = _sized_state(acyclic_state, "acyclic_state", 2)
     check_integer(n_prime, "n_prime")
     flip_bottom = np.kron(_EYE2, SIGMA_X)
     branch0 = []

@@ -71,18 +71,22 @@ def u2_matrix(alpha: float, phi: float, beta: float, delta: float = 0.0) -> np.n
     )
 
 
+def _on_levels(block: np.ndarray, p: int, r: int) -> np.ndarray:
+    """4x4 identity with the 2x2 block on basis levels p < r (1-based)."""
+    g = _EYE4.copy()
+    levels = slice(p - 1, r, r - p)  # rows and columns p and r, as a basic slice
+    g[levels, levels] = block
+    return g
+
+
 def control_down_matrix(alpha: float, phi: float, beta: float, delta: float = 0.0) -> np.ndarray:
     """Controlled U(2) with control on the top loop; block acts on |10>,|11>."""
-    g = _EYE4.copy()
-    g[2:, 2:] = u2_matrix(alpha, phi, beta, delta)
-    return g
+    return _on_levels(u2_matrix(alpha, phi, beta, delta), 3, 4)
 
 
 def control_up_matrix(alpha: float, phi: float, beta: float, delta: float = 0.0) -> np.ndarray:
     """Controlled U(2) with control on the bottom loop; block acts on |01>,|11>."""
-    g = _EYE4.copy()
-    g[1::2, 1::2] = u2_matrix(alpha, phi, beta, delta)
-    return g
+    return _on_levels(u2_matrix(alpha, phi, beta, delta), 2, 4)
 
 
 def two_level_matrix(
@@ -100,9 +104,7 @@ def two_level_matrix(
     only defined for pairs (2,4) and (3,4).
     """
     _check_two_level(p, r, gamma_p, gamma_r)
-    g = _EYE4.copy()
-    levels = slice(p - 1, r, r - p)  # rows and columns p and r, as a basic slice
-    g[levels, levels] = u2_matrix(0.0, phi, beta, 0.0)
+    g = _on_levels(u2_matrix(0.0, phi, beta, 0.0), p, r)
     if gamma_p != 0.0 or gamma_r != 0.0:
         d = np.ones(4, dtype=complex)
         d[p - 1] = np.exp(1j * gamma_p)
@@ -122,10 +124,7 @@ def diagonal_matrix(gammas) -> np.ndarray:
 def cnot_matrix(control: int, target: int) -> np.ndarray:
     """Controlled-Not on two qubits, lines 1 (top) and 2 (bottom)."""
     _check_cnot_lines(control, target)
-    g = _EYE4.copy()
-    flipped = slice(2, 4) if control == 1 else slice(1, 4, 2)  # levels |1x> or |x1>
-    g[flipped, flipped] = SIGMA_X
-    return g
+    return _on_levels(SIGMA_X, 3 if control == 1 else 2, 4)  # flips levels |10>,|11> or |01>,|11>
 
 
 # ----------------------------------------------------------------------------

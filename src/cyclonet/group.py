@@ -20,6 +20,7 @@ from .gates import (
     CyclicNetwork,
     TwoLevel,
     compile_cycle,
+    diagonal_matrix,
     two_level_matrix,
 )
 from .linalg import GIMBAL_TOL, MEMBERSHIP_TOL, PHASE_FLOOR, check_block_form, check_unitary, is_block_form
@@ -181,7 +182,7 @@ class U4Parameters:
 
 def build_u4(params: U4Parameters) -> np.ndarray:
     """Multiply out D(gammas) and the six two-level factors in written order."""
-    u = np.diag(np.exp(1j * np.asarray(params.gammas, dtype=float)))
+    u = diagonal_matrix(params.gammas)
     for (p, r), (phi, theta) in zip(U4_PAIR_ORDER, params.rotations):
         u = u @ two_level_matrix(p, r, phi, theta)
     return u

@@ -116,8 +116,7 @@ def matrix_power_direct(u, n: int) -> np.ndarray:
     Serves as the order-n oracle for the spectral power route.
     """
     u = as_matrix(u)
-    if n < 0:
-        raise ValueError("matrix_power_direct requires n >= 0")
+    check_integer(n, "n")
     return np.linalg.matrix_power(u, n)
 
 

@@ -107,7 +107,7 @@ def sensor_run(net: CyclicNetwork, acyclic_bit: int, n_prime: int) -> SensorRead
     subspace, which never returns to |00>.
     """
     _check_sensor(net, acyclic_bit, n_prime, "n_prime")
-    amplitude = matrix_power_spectral(compile_cycle(net), n_prime, cycle_spectrum(net))[0, acyclic_bit]
+    amplitude = evolve(net, basis_state(4, acyclic_bit), n_prime)[0]
     return SensorReading(p_psi3=float(abs(amplitude) ** 2))
 
 

@@ -35,13 +35,22 @@ from cyclonet import (
     dense_eigendecomposition,
     gate_matrix,
     matrix_power_spectral,
+    so3_example_closed_form,
     solve_cubic,
     spectrum_closed_form,
     u2_matrix,
     unitarity_defect,
 )
 from cyclonet.cli import DEFAULT_ALPHA_FAMILY
-from cyclonet.linalg import CANCEL_RATIO, MEMBERSHIP_TOL, PHASE_FLOOR, ROOT_TOL, ZERO_TOL, is_block_form
+from cyclonet.linalg import (
+    CANCEL_RATIO,
+    MEMBERSHIP_TOL,
+    PHASE_FLOOR,
+    ROOT_TOL,
+    TABLE_SINGULAR_TOL,
+    ZERO_TOL,
+    is_block_form,
+)
 
 from helpers import EDGE_ANGLES, byte_battery
 
@@ -369,3 +378,70 @@ def test_alternating_pair_root_matches_its_reference_form_on_the_nu0_grid():
         assert np.complex128(alternating_pair_root(alpha, phi)).tobytes() == np.complex128(root).tobytes()
         snapped += was_snapped
     assert snapped == len(SNAPPED_POINTS)
+
+
+def reference_so3_example_closed_form(phi):
+    """The rotation-pair power table with all nine entries written out, as (a, b, c) triples."""
+    c, s = float(np.cos(phi)), float(np.sin(phi))
+    trace = c * c + 2.0 * c
+    nu1 = float(np.arccos((trace - 1.0) / 2.0))
+    cn, sn = np.cos(nu1), np.sin(nu1)
+    c2n, s2n = np.cos(2.0 * nu1), np.sin(2.0 * nu1)
+    d1 = c + 3.0
+    d2 = (c + 1.0) * d1
+    d3 = s * s * d2
+    d4 = s**3 * d2
+    return (
+        (
+            ((c + 1.0) / d1, 2.0 / d1, 0.0),
+            (-(c + 1.0) / d1, (4.0 * c - 2.0 * c * c * cn - 2.0 * cn) / d3, -2.0 * sn / d2),
+            (
+                -s / d1,
+                (2.0 * c**3 * cn - 6.0 * c * c + 6.0 * c * cn - 2.0 * c2n) / d4,
+                (-2.0 * c**3 * sn + 6.0 * c * sn - 2.0 * s2n) / d4,
+            ),
+        ),
+        (
+            (-(c + 1.0) / d1, (4.0 * c - 2.0 * c * c * cn - 2.0 * cn) / d3, 2.0 * sn / d2),
+            ((c + 1.0) / d1, 2.0 / d1, 0.0),
+            (
+                s / d1,
+                2.0 * (-(c**3) + 3.0 * c * c * cn - c * (c2n + 2.0) + cn) / d4,
+                2.0 * (c * c * sn - c * s2n + sn) / d4,
+            ),
+        ),
+        (
+            (
+                -s / d1,
+                (2.0 * c**3 * cn - 6.0 * c * c + 6.0 * c * cn - 2.0 * c2n) / d4,
+                (2.0 * c**3 * sn - 6.0 * c * sn + 2.0 * s2n) / d4,
+            ),
+            (
+                s / d1,
+                2.0 * (-(c**3) + 3.0 * c * c * cn - c * (c2n + 2.0) + cn) / d4,
+                2.0 * (-(c * c) * sn + c * s2n - sn) / d4,
+            ),
+            ((1.0 - c) / d1, 2.0 * (c + 1.0) / d1, 0.0),
+        ),
+    )
+
+
+# Just outside the table's singular set: |sin phi| and |1 + cos phi| a little above TABLE_SINGULAR_TOL.
+_OFF_SINE = 1.01 * TABLE_SINGULAR_TOL
+_OFF_COS = math.sqrt(2.02 * TABLE_SINGULAR_TOL)  # 1 + cos(pi + x) is about x^2 / 2
+TABLE_EDGE_ANGLES = (
+    [centre + off for centre in (0.0, 2.0 * np.pi, -2.0 * np.pi) for off in (_OFF_SINE, -_OFF_SINE)]
+    + [centre + off for centre in (np.pi, -np.pi) for off in (_OFF_COS, -_OFF_COS)]
+    + [np.pi / 2, -np.pi / 2]
+)
+
+
+def test_power_table_matches_its_reference_form_on_every_entry():
+    grid = [phi for phi in np.linspace(-10.0, 10.0, 4001) if min(abs(np.sin(phi)), 1.0 + np.cos(phi)) > 1e-3]
+    for phi in grid + TABLE_EDGE_ANGLES:
+        table = so3_example_closed_form(phi)
+        entries = [[(e.a, e.b, e.c) for e in row] for row in table.elements]
+        assert np.array(entries).tobytes() == np.array(reference_so3_example_closed_form(phi)).tobytes(), phi
+    # The edge angles really sit next to the singular set.
+    for phi in TABLE_EDGE_ANGLES[:-2]:
+        assert min(abs(np.sin(phi)), abs(1.0 + np.cos(phi))) < 1.1 * TABLE_SINGULAR_TOL

@@ -13,6 +13,7 @@ from cyclonet import (
     closed_form_amplitude,
     compile_cycle,
     dense_eigendecomposition,
+    dynamics,
     evolve,
     haar_unitary,
     matrix_power_direct,
@@ -81,6 +82,9 @@ class TestEvolve:
             (chain_evolve, ([alternating_pair_network(0.5)], (1.0, 0.0), [basis_state(4, 1)], -1), "n_prime"),
             (perturb, (PerturbationScenario(alternating_pair_network(0.5), (1, 0), 2.5, 1, basis_state(4, 1)),), "cycles_before"),
             (perturb, (PerturbationScenario(alternating_pair_network(0.5), (1, 0), 1, -1, basis_state(4, 1)),), "cycles_after"),
+            (matrix_power_direct, (compile_cycle(alternating_pair_network(0.5)), True), "n"),
+            (matrix_power_direct, (compile_cycle(alternating_pair_network(0.5)), 2.5), "n"),
+            (matrix_power_direct, (compile_cycle(alternating_pair_network(0.5)), -1), "n"),
         ],
     )
     def test_bad_count_error_names_the_field(self, function, args, field):
@@ -289,6 +293,37 @@ class TestPerturb:
                     coupling="sideways",
                 )
             )
+
+    @staticmethod
+    def scenario(**changes):
+        fields = dict(
+            net=alternating_pair_network(0.5),
+            acyclic_state=(1.0, 0.0),
+            cycles_before=1,
+            cycles_after=1,
+            initial_state=basis_state(4, 1),
+        )
+        return PerturbationScenario(**(fields | changes))
+
+    @pytest.mark.parametrize(
+        "function, args, field",
+        [
+            (perturb, (scenario(coupling_operator=np.eye(4)),), "coupling_operator"),
+            (perturb, (scenario(coupling_operator=np.eye(1)),), "coupling_operator"),
+            (perturb, (scenario(acyclic_state=(1.0, 0.0, 0.0)),), "acyclic_state"),
+            (chain_evolve, ([alternating_pair_network(0.5)], (1.0, 0.0, 0.0), [basis_state(4, 1)], 1), "acyclic_state"),
+            (perturb, (scenario(initial_state=basis_state(2, 1)),), "initial_state"),
+            (perturb, (scenario(coupling="bogus"),), "coupling"),
+        ],
+    )
+    def test_bad_input_is_refused_by_name_before_any_power(self, monkeypatch, function, args, field):
+        def no_work(*_):
+            raise AssertionError("cycle work started before the inputs were checked")
+
+        for name in ("cycle_spectrum", "matrix_power_spectral", "evolve"):
+            monkeypatch.setattr(dynamics, name, no_work)
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            function(*args)
 
 
 class TestAmplitudeSeries:
