@@ -11,12 +11,12 @@ Subcommands:
     cyclonet demo phase-est [--phase FRACTION] [--bits T] [--output csv]
     cyclonet demo chain [--links Q] [--nprime-max N] [--seed S]
 
-Each command takes its numbers as arrays from the library and writes them
-with one %-format per row (%d counts, %.12e values); the CSV is
-byte-identical for identical arguments (and seed).  Invalid input files or
-arguments (--phase and --alpha-family included) and unwritable output
-paths print one "error:" line on stderr and exit with code 2; an output
-path is tried before any work is done, and every size is capped at 10^6.
+Each command takes only the options in its synopsis; any other is a usage
+error (exit 2).  Numbers come as arrays from the library and are written
+with one %-format per row (%d counts, %.12e values), so a CSV is
+byte-identical for identical arguments.  Invalid input files or arguments
+and unwritable output paths print one "error:" line on stderr and exit 2;
+an output path is tried before any work, and every size is capped at 10^6.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import protocols
-from .dynamics import chain_evolve, closed_form_amplitude, matrix_power_spectral, nu1_to_phi, perturbed_amplitude_series
+from .dynamics import PERTURBED_BASIS_LABELS, chain_evolve, closed_form_amplitude, matrix_power_spectral
+from .dynamics import nu1_to_phi, perturbed_amplitude_series
 from .gates import (
     ControlDown,
     ControlUp,
@@ -43,7 +44,7 @@ from .gates import (
 )
 from .group import classify
 from .linalg import DEMO_ESTIMATE_TOL, DEMO_FIDELITY_TOL, DEMO_RESIDUAL_TOL
-from .linalg import matrix_power_direct, unitarity_defect
+from .linalg import check_integer, matrix_power_direct, unitarity_defect
 from .spectral import DegenerateSpectrumError, alternating_pair_root
 
 DEFAULT_ALPHA_FAMILY = tuple(
@@ -105,47 +106,49 @@ def _parse_alpha_family(text: str | None) -> tuple[float, ...]:
         raise ValueError(f"bad --alpha-family entry: {exc}") from None
 
 
-def cmd_figure(args) -> int:
-    if args.name == "nu0-sweep":
-        alphas = _parse_alpha_family(args.alpha_family)
-        if not np.isfinite(alphas).all():
-            raise ValueError("--alpha-family entries must be finite")
-        if not (args.grid_step > 0 and len(alphas) * np.ceil(2.0 * np.pi / args.grid_step) <= _MAX_SIZE):
-            raise ValueError("--grid-step must be positive and, with --alpha-family, give at most 10^6 rows")
-        _check_output(args.output)
-        phis = np.arange(0.0, 2.0 * np.pi, args.grid_step)
-        nu0 = [np.angle(alternating_pair_root(alpha, phi)) for alpha in alphas for phi in phis]
-        table = np.column_stack([np.repeat(alphas, len(phis)), np.tile(phis, len(alphas)), nu0])
-        _write_csv(args.output, "alpha,phi,nu0", table, "%.12e,%.12e,%.12e")
-    else:  # pert-series, the only other name argparse admits
-        if args.nu1 is None:
-            raise ValueError("pert-series requires --nu1")
-        if not 0 < args.nprime_max <= _MAX_SIZE:
-            raise ValueError("--nprime-max must be in 1..10^6")
-        _check_output(args.output)
-        try:
-            phi = nu1_to_phi(args.nu1)
-            series = perturbed_amplitude_series(phi, args.eigenstate, args.basis, args.nprime_max)
-            background = closed_form_amplitude(
-                phi, args.eigenstate, args.basis, np.arange(args.nprime_max + 1)
-            )
-        except DegenerateSpectrumError as exc:
-            # The closed-form coefficients are this figure's content; with a
-            # degenerate spectrum there is nothing to fall back to.
-            print(f"error: degenerate spectrum: {exc}", file=sys.stderr)
-            return 1
-        # hypot, not np.abs: it matches the scalar abs() of each entry bit for bit.
-        magnitude = np.hypot(series.real, series.imag)
-        table = np.column_stack(
-            [np.arange(len(series)), series.real, series.imag, magnitude, background.real, background.imag]
+def _figure_nu0_sweep(args) -> int:
+    alphas = _parse_alpha_family(args.alpha_family)
+    if not np.isfinite(alphas).all():
+        raise ValueError("--alpha-family entries must be finite")
+    if not (args.grid_step > 0 and len(alphas) * np.ceil(2.0 * np.pi / args.grid_step) <= _MAX_SIZE):
+        raise ValueError("--grid-step must be positive and, with --alpha-family, give at most 10^6 rows")
+    _check_output(args.output)
+    phis = np.arange(0.0, 2.0 * np.pi, args.grid_step)
+    nu0 = [np.angle(alternating_pair_root(alpha, phi)) for alpha in alphas for phi in phis]
+    table = np.column_stack([np.repeat(alphas, len(phis)), np.tile(phis, len(alphas)), nu0])
+    _write_csv(args.output, "alpha,phi,nu0", table, "%.12e,%.12e,%.12e")
+    print(f"wrote {len(table)} rows to {args.output}")
+    return 0
+
+
+def _figure_pert_series(args) -> int:
+    if args.nu1 is None:
+        raise ValueError("pert-series requires --nu1")
+    check_integer(args.nprime_max, "--nprime-max", 1, _MAX_SIZE)
+    _check_output(args.output)
+    try:
+        phi = nu1_to_phi(args.nu1)
+        series = perturbed_amplitude_series(phi, args.eigenstate, args.basis, args.nprime_max)
+        background = closed_form_amplitude(
+            phi, args.eigenstate, args.basis, np.arange(args.nprime_max + 1)
         )
-        _write_csv(
-            args.output,
-            "n_prime,re,im,abs,background_re,background_im",
-            table,
-            "%d" + ",%.12e" * 5,
-            comments=[f"nu1={args.nu1:.12e}", f"phi={phi:.12e}", f"basis={args.basis}", f"k={args.eigenstate}"],
-        )
+    except DegenerateSpectrumError as exc:
+        # The closed-form coefficients are this figure's content; with a
+        # degenerate spectrum there is nothing to fall back to.
+        print(f"error: degenerate spectrum: {exc}", file=sys.stderr)
+        return 1
+    # hypot, not np.abs: it matches the scalar abs() of each entry bit for bit.
+    magnitude = np.hypot(series.real, series.imag)
+    table = np.column_stack(
+        [np.arange(len(series)), series.real, series.imag, magnitude, background.real, background.imag]
+    )
+    _write_csv(
+        args.output,
+        "n_prime,re,im,abs,background_re,background_im",
+        table,
+        "%d" + ",%.12e" * 5,
+        comments=[f"nu1={args.nu1:.12e}", f"phi={phi:.12e}", f"basis={args.basis}", f"k={args.eigenstate}"],
+    )
     print(f"wrote {len(table)} rows to {args.output}")
     return 0
 
@@ -160,6 +163,8 @@ def _random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _demo_memory(args) -> int:
+    check_integer(args.seed, "--seed")
+    check_integer(args.cycles, "--cycles", 0, _MAX_SIZE)
     net = alternating_pair_network(args.phi)
     rng = np.random.default_rng(args.seed)
     print(f"# seed={args.seed}")
@@ -183,6 +188,7 @@ def _demo_memory(args) -> int:
 
 
 def _demo_sensor(args) -> int:
+    check_integer(args.nprime_max, "--nprime-max", 0, _MAX_SIZE)
     _check_output(args.output)
     probabilities = protocols.sensor_series(alternating_pair_network(args.phi), args.bit, args.nprime_max)
     final = protocols.SensorReading(p_psi3=float(probabilities[-1]))
@@ -197,8 +203,7 @@ def _demo_sensor(args) -> int:
 
 
 def _demo_phase_est(args) -> int:
-    if not 1 <= args.bits <= 8:
-        raise ValueError("--bits must be 1..8")
+    check_integer(args.bits, "--bits", 1, 8)
     try:
         fraction = float(Fraction(args.phase))
     except (ValueError, ZeroDivisionError, OverflowError):
@@ -222,8 +227,9 @@ def _demo_phase_est(args) -> int:
 
 def _demo_chain(args) -> int:
     q = args.links
-    if not 1 <= q <= 4:
-        raise ValueError("--links must be 1..4")
+    check_integer(q, "--links", 1, 4)
+    check_integer(args.seed, "--seed")
+    check_integer(args.nprime_max, "--nprime-max", 0, _MAX_SIZE)
     rng = np.random.default_rng(args.seed)
     print(f"# seed={args.seed}")
     nets, states = [], []
@@ -254,21 +260,6 @@ def _demo_chain(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_demo(args) -> int:
-    if args.seed < 0:  # every demo accepts every demo option; all are checked before any output
-        raise ValueError("--seed must be non-negative")
-    for name, value in (("--cycles", args.cycles), ("--nprime-max", args.nprime_max)):
-        if not 0 <= value <= _MAX_SIZE:
-            raise ValueError(f"{name} must be in 0..10^6")
-    handlers = {
-        "memory": _demo_memory,
-        "sensor": _demo_sensor,
-        "phase-est": _demo_phase_est,
-        "chain": _demo_chain,
-    }
-    return handlers[args.name](args)
-
-
 # ----------------------------------------------------------------------------
 # argument parsing
 
@@ -277,33 +268,46 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cyclonet", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_classify = sub.add_parser("classify", help="classify a network JSON file")
-    p_classify.add_argument("--input", required=True, help="network JSON path")
-    p_classify.set_defaults(func=cmd_classify)
+    p = sub.add_parser("classify", help="classify a network JSON file")
+    p.add_argument("--input", required=True, help="network JSON path")
+    p.set_defaults(func=cmd_classify)
 
-    p_figure = sub.add_parser("figure", help="emit a figure-reproduction CSV")
-    p_figure.add_argument("name", choices=["nu0-sweep", "pert-series"])
-    p_figure.add_argument("--output", required=True, help="CSV output path")
-    p_figure.add_argument("--grid-step", type=float, default=0.01, help="phi grid step (radians)")
-    p_figure.add_argument("--alpha-family", default=None, help="comma-separated alpha values")
-    p_figure.add_argument("--nu1", type=float, default=None, help="target eigenphase for pert-series")
-    p_figure.add_argument("--basis", default="110", help="joint basis state label (pert-series)")
-    p_figure.add_argument("--nprime-max", type=int, default=1600, help="last n' row")
-    p_figure.add_argument("--eigenstate", type=int, default=0, help="initial eigenstate index k")
-    p_figure.set_defaults(func=cmd_figure)
+    figure = sub.add_parser("figure", help="emit a figure-reproduction CSV").add_subparsers(dest="name", required=True)
+    p = figure.add_parser("nu0-sweep", help="alternating-pair eigenphase nu0 over a phi grid")
+    p.add_argument("--output", required=True, help="CSV output path")
+    p.add_argument("--grid-step", type=float, default=0.01, help="phi grid step (radians)")
+    p.add_argument("--alpha-family", default=None, help="comma-separated alpha values")
+    p.set_defaults(func=_figure_nu0_sweep)
+    p = figure.add_parser("pert-series", help="probe-perturbed amplitude versus n'")
+    p.add_argument("--output", required=True, help="CSV output path")
+    p.add_argument("--nu1", type=float, default=None, help="target eigenphase")
+    p.add_argument("--basis", choices=PERTURBED_BASIS_LABELS, default="110", help="joint basis state label")
+    p.add_argument("--nprime-max", type=int, default=1600, help="last n' row")
+    p.add_argument("--eigenstate", type=int, choices=range(3), default=0, help="initial eigenstate index k")
+    p.set_defaults(func=_figure_pert_series)
 
-    p_demo = sub.add_parser("demo", help="run a protocol demo")
-    p_demo.add_argument("name", choices=["memory", "sensor", "phase-est", "chain"])
-    p_demo.add_argument("--seed", type=int, default=0, help="PRNG seed for random draws")
-    p_demo.add_argument("--phi", type=float, default=1.2, help="rotation-pair angle")
-    p_demo.add_argument("--cycles", type=int, default=12345, help="memory: cycles before retrieval")
-    p_demo.add_argument("--bit", type=int, choices=[0, 1], default=1, help="sensor: probe bit")
-    p_demo.add_argument("--nprime-max", type=int, default=300, help="cycles after the coupling")
-    p_demo.add_argument("--phase", default="1/8", help="phase-est: eigenphase fraction")
-    p_demo.add_argument("--bits", type=int, default=3, help="phase-est: estimate bit count")
-    p_demo.add_argument("--links", type=int, default=2, help="chain: number of linked cycles")
-    p_demo.add_argument("--output", default=None, help="optional CSV output path")
-    p_demo.set_defaults(func=cmd_demo)
+    demo = sub.add_parser("demo", help="run a protocol demo").add_subparsers(dest="name", required=True)
+    p = demo.add_parser("memory", help="store a state and retrieve it after many cycles")
+    p.add_argument("--phi", type=float, default=1.2, help="rotation-pair angle")
+    p.add_argument("--cycles", type=int, default=12345, help="cycles before retrieval")
+    p.add_argument("--seed", type=int, default=0, help="PRNG seed for random draws")
+    p.set_defaults(func=_demo_memory)
+    p = demo.add_parser("sensor", help="detect a probe bit from the cycle's evolution")
+    p.add_argument("--bit", type=int, choices=[0, 1], default=1, help="probe bit")
+    p.add_argument("--phi", type=float, default=1.2, help="rotation-pair angle")
+    p.add_argument("--nprime-max", type=int, default=300, help="cycles after the coupling")
+    p.add_argument("--output", default=None, help="optional CSV output path")
+    p.set_defaults(func=_demo_sensor)
+    p = demo.add_parser("phase-est", help="estimate an eigenphase with a t-bit register")
+    p.add_argument("--phase", default="1/8", help="eigenphase fraction")
+    p.add_argument("--bits", type=int, default=3, help="estimate bit count")
+    p.add_argument("--output", default=None, help="optional CSV output path")
+    p.set_defaults(func=_demo_phase_est)
+    p = demo.add_parser("chain", help="probe a chain of linked cycles")
+    p.add_argument("--links", type=int, default=2, help="number of linked cycles")
+    p.add_argument("--nprime-max", type=int, default=300, help="cycles after the coupling")
+    p.add_argument("--seed", type=int, default=0, help="PRNG seed for random draws")
+    p.set_defaults(func=_demo_chain)
 
     return parser
 

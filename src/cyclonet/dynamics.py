@@ -148,11 +148,14 @@ def so3_example_closed_form(phi: float) -> CyclePowerTable:
 
 
 def _sized_state(v, name: str, dim: int) -> np.ndarray:
-    """check_state(v), first refusing with the field's name a v that is not a dim-entry vector."""
+    """check_state(v) for a dim-entry vector, refusing any other v with the field's name."""
     v = np.asarray(v, dtype=complex)
     if v.shape != (dim,):
         raise ValueError(f"{name} must have {dim} entries, got shape {v.shape}")
-    return check_state(v)
+    try:
+        return check_state(v)
+    except ValueError as exc:
+        raise ValueError(f"{name} must be a unit vector: {exc}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,7 +183,10 @@ class PerturbationScenario:
         w = SIGMA_X if self.coupling_operator is None else np.asarray(self.coupling_operator, complex)
         if w.shape != (2, 2):
             raise ValueError(f"coupling_operator must be 2x2, got shape {w.shape}")
-        return check_unitary(w)
+        try:
+            return check_unitary(w)
+        except ValueError as exc:
+            raise ValueError(f"coupling_operator must be unitary: {exc}") from None
 
 
 def perturb(scenario: PerturbationScenario) -> np.ndarray:
@@ -285,21 +291,22 @@ def chain_evolve(nets, acyclic_state, initial_states, n_prime: int) -> np.ndarra
     probe (x) cycle_q (x) ... (x) cycle_1, and the returned vector has
     dimension 2·4^q.
     """
-    nets = list(nets)
+    nets, initial_states = list(nets), list(initial_states)
     q = len(nets)
     if not 1 <= q <= 4:
-        raise ValueError("chains support 1 to 4 linked cycles")
-    initial_states = [check_state(s) for s in initial_states]
+        raise ValueError(f"nets must hold 1 to 4 linked cycles, got {q}")
+    for j, net in enumerate(nets):
+        if net.qubits != 2:
+            raise ValueError(f"nets[{j}] must be a two-qubit cycle, got {net.qubits} qubit(s)")
     if len(initial_states) != q:
-        raise ValueError("need one initial state per cycle")
+        raise ValueError(f"initial_states must hold one state per cycle, got {len(initial_states)} for {q} cycles")
+    initial_states = [_sized_state(s, f"initial_states[{j}]", 4) for j, s in enumerate(initial_states)]
     probe = _sized_state(acyclic_state, "acyclic_state", 2)
     check_integer(n_prime, "n_prime")
     flip_bottom = np.kron(_EYE2, SIGMA_X)
     branch0 = []
     branch1 = []
     for j, (net, psi) in enumerate(zip(nets, initial_states), start=1):
-        if net.qubits != 2:
-            raise ValueError("chain links must be two-qubit cycles")
         branch0.append(evolve(net, psi, n_prime + q))
         branch1.append(evolve(net, flip_bottom @ evolve(net, psi, j), n_prime + q - j))
     out0 = np.kron(_P0 @ probe, functools.reduce(np.kron, reversed(branch0)))  # cycle q leftmost

@@ -253,7 +253,9 @@ class TestErrorExits:
         ],
     )
     def test_sizes_capped_and_values_finite(self, tmp_path, capsys, argv, field):
-        assert self.check_error(capsys, argv + ["--output", str(tmp_path / "x.csv")], field) == ""
+        if argv[1] not in ("memory", "chain"):  # the demos that write no CSV take no --output
+            argv = argv + ["--output", str(tmp_path / "x.csv")]
+        assert self.check_error(capsys, argv, field) == ""
 
     @pytest.mark.parametrize(
         "argv",
@@ -268,6 +270,44 @@ class TestErrorExits:
         missing = str(tmp_path / "no-such-dir" / "out.csv")
         # The path is tried before any work, so nothing reaches stdout.
         assert self.check_error(capsys, argv + ["--output", missing], "no-such-dir") == ""
+
+    @staticmethod
+    def check_usage_error(capsys, argv, fragments):
+        """Assert argparse's usage error (SystemExit 2) naming every fragment on stderr; nothing on stdout."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage:")
+        assert all(fragment in captured.err.splitlines()[-1] for fragment in fragments)
+
+    @pytest.mark.parametrize(
+        "option, value", [("--eigenstate", "3"), ("--eigenstate", "-1"), ("--basis", "011"), ("--basis", "x")]
+    )
+    def test_pert_series_eigenstate_and_basis_checked_before_output_opens(self, tmp_path, capsys, option, value):
+        out = tmp_path / "p.csv"
+        argv = ["figure", "pert-series", "--nu1", "0.7", f"{option}={value}", "--output", str(out)]
+        self.check_usage_error(capsys, argv, [option, "invalid choice"])
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "demo memory --output P",
+            "demo chain --output P",
+            "demo phase-est --cycles -1",
+            "demo chain --phase 1/0",
+            "demo sensor --seed 3",
+            "figure nu0-sweep --output P --nu1 0.7",
+            "figure pert-series --output P --nu1 0.7 --grid-step 0.5",
+        ],
+    )
+    def test_option_of_another_command_is_a_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "p.csv"
+        argv = [str(out) if arg == "P" else arg for arg in argv.split()]
+        foreign = [arg for arg in argv if arg.startswith("--")][-1]  # each case ends with the foreign option
+        self.check_usage_error(capsys, argv, ["unrecognized arguments:", foreign])
+        assert not out.exists()
 
 
 # sha256 of the CSVs these arguments wrote before the spectral layer was

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cyclonet import (
+    CyclicNetwork,
     DegenerateSpectrumError,
     PerturbationScenario,
     alternating_pair_network,
@@ -314,6 +315,20 @@ class TestPerturb:
             (chain_evolve, ([alternating_pair_network(0.5)], (1.0, 0.0, 0.0), [basis_state(4, 1)], 1), "acyclic_state"),
             (perturb, (scenario(initial_state=basis_state(2, 1)),), "initial_state"),
             (perturb, (scenario(coupling="bogus"),), "coupling"),
+            (perturb, (scenario(acyclic_state=(1.0, 1.0)),), "acyclic_state"),
+            (chain_evolve, ([alternating_pair_network(0.5)], (1.0, 1.0), [basis_state(4, 1)], 1), "acyclic_state"),
+            (perturb, (scenario(initial_state=2 * basis_state(4, 1)),), "initial_state"),
+            (perturb, (scenario(coupling_operator=np.array([[1.0, 1.0], [0.0, 1.0]])),), "coupling_operator"),
+            (chain_evolve, ([alternating_pair_network(0.5)], (1.0, 0.0), [basis_state(2, 1)], 1), r"initial_states\[0\]"),
+            (chain_evolve, ([alternating_pair_network(0.5)], (1.0, 0.0), [2 * basis_state(4, 1)], 1), r"initial_states\[0\]"),
+            (chain_evolve, ([alternating_pair_network(0.5)], (1.0, 0.0), [], 1), "initial_states"),
+            (chain_evolve, ([alternating_pair_network(0.5)], (1.0, 0.0), [basis_state(4, 1)] * 2, 1), "initial_states"),
+            (
+                chain_evolve,
+                ([alternating_pair_network(0.5), CyclicNetwork(1, ())], (1.0, 0.0), [basis_state(4, 1)] * 2, 1),
+                r"nets\[1\]",
+            ),
+            (chain_evolve, ([alternating_pair_network(0.5)] * 5, (1.0, 0.0), [basis_state(4, 1)] * 5, 1), "nets"),
         ],
     )
     def test_bad_input_is_refused_by_name_before_any_power(self, monkeypatch, function, args, field):
