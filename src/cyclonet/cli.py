@@ -264,8 +264,18 @@ def _demo_chain(args) -> int:
 # argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses arguments it does not take under its own usage line, not the root parser's (subparsers share the class)."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="cyclonet", description=__doc__.split("\n")[0])
+    parser = _Parser(prog="cyclonet", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="classify a network JSON file")

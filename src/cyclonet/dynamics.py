@@ -17,7 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .gates import SIGMA_X, CyclicNetwork, alternating_pair_network, compile_cycle, cycle_spectrum
-from .linalg import TABLE_SINGULAR_TOL, Spectrum, check_integer, check_state, check_unitary, dense_eigendecomposition
+from .linalg import TABLE_SINGULAR_TOL, Spectrum, check_integer, check_real, check_state, check_unitary
+from .linalg import dense_eigendecomposition
 from .spectral import (
     DegenerateSpectrumError,
     block_form_eigenstates,
@@ -48,17 +49,18 @@ def matrix_power_spectral(u, n: int, spectrum: Spectrum | None = None) -> np.nda
 def evolve(net: CyclicNetwork, psi0, n: int) -> np.ndarray:
     """State after n cycles (n < 0 runs them backwards), from the network's stored spectrum."""
     u = compile_cycle(net)
-    psi0 = check_state(psi0)
+    psi0 = check_state(psi0, "psi0", u.shape[0])
     check_integer(n, "n", low=-np.inf)
-    if psi0.shape[0] != u.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: network dimension {u.shape[0]}, state {psi0.shape[0]}"
-        )
     return matrix_power_spectral(u, n, cycle_spectrum(net)) @ psi0
 
 
 def amplitude_series(spectrum: Spectrum, row: int, start, n_max: int) -> np.ndarray:
     """Amplitudes <row| U^n |start> for n = 0 .. n_max, all from one spectrum of U."""
+    check_integer(row, "row", 0, spectrum.dim - 1)
+    check_integer(n_max, "n_max")
+    start = np.asarray(start, dtype=complex)
+    if start.shape != (spectrum.dim,):  # any norm: the amplitudes are linear in start
+        raise ValueError(f"start must have {spectrum.dim} entries, got shape {start.shape}")
     coeffs = spectrum.vectors.conj().T @ start
     phase_grid = np.exp(1j * np.outer(np.arange(n_max + 1), spectrum.phases))
     return phase_grid @ (spectrum.vectors[row, :] * coeffs)
@@ -109,8 +111,7 @@ def so3_example_closed_form(phi: float) -> CyclePowerTable:
     vanish); near those points the table's denominators blow up and a
     DegenerateSpectrumError directs callers to the spectral route instead.
     """
-    if not abs(phi) < np.inf:  # false for NaN too
-        raise ValueError(f"argument 'phi' must be finite, got {phi}")
+    phi = check_real(phi, "argument 'phi'")
     c, s = float(np.cos(phi)), float(np.sin(phi))
     if abs(s) < TABLE_SINGULAR_TOL or abs(c + 1.0) < TABLE_SINGULAR_TOL:
         raise DegenerateSpectrumError(f"closed-form table singular at phi = {phi}")
@@ -140,22 +141,11 @@ def so3_example_closed_form(phi: float) -> CyclePowerTable:
     # symmetric in the two indices and c, the odd part in n, is antisymmetric.
     m10, m20, m21 = (replace(m, c=-m.c) for m in (m01, m02, m12))
     elements = ((m00, m01, m02), (m10, m00, m12), (m20, m21, m22))
-    return CyclePowerTable(phi=float(phi), nu1=nu1, elements=elements)
+    return CyclePowerTable(phi=phi, nu1=nu1, elements=elements)
 
 
 # ----------------------------------------------------------------------------
 # Acyclic-qubit perturbation
-
-
-def _sized_state(v, name: str, dim: int) -> np.ndarray:
-    """check_state(v) for a dim-entry vector, refusing any other v with the field's name."""
-    v = np.asarray(v, dtype=complex)
-    if v.shape != (dim,):
-        raise ValueError(f"{name} must have {dim} entries, got shape {v.shape}")
-    try:
-        return check_state(v)
-    except ValueError as exc:
-        raise ValueError(f"{name} must be a unit vector: {exc}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,16 +167,11 @@ class PerturbationScenario:
     coupling_operator: np.ndarray | None = None
 
     def probe_vector(self) -> np.ndarray:
-        return _sized_state(self.acyclic_state, "acyclic_state", 2)
+        return check_state(self.acyclic_state, "acyclic_state", 2)
 
     def operator(self) -> np.ndarray:
-        w = SIGMA_X if self.coupling_operator is None else np.asarray(self.coupling_operator, complex)
-        if w.shape != (2, 2):
-            raise ValueError(f"coupling_operator must be 2x2, got shape {w.shape}")
-        try:
-            return check_unitary(w)
-        except ValueError as exc:
-            raise ValueError(f"coupling_operator must be unitary: {exc}") from None
+        w = SIGMA_X if self.coupling_operator is None else self.coupling_operator
+        return check_unitary(w, "coupling_operator", 2)
 
 
 def perturb(scenario: PerturbationScenario) -> np.ndarray:
@@ -197,7 +182,7 @@ def perturb(scenario: PerturbationScenario) -> np.ndarray:
     check_integer(scenario.cycles_after, "cycles_after")
     if scenario.coupling not in ("control_on_acyclic", "target_on_acyclic"):
         raise ValueError(f"coupling must be 'control_on_acyclic' or 'target_on_acyclic', got {scenario.coupling!r}")
-    psi = _sized_state(scenario.initial_state, "initial_state", 4)
+    psi = check_state(scenario.initial_state, "initial_state", 4)
     phi_vec = scenario.probe_vector()
     w = scenario.operator()
     u = compile_cycle(scenario.net)
@@ -300,8 +285,8 @@ def chain_evolve(nets, acyclic_state, initial_states, n_prime: int) -> np.ndarra
             raise ValueError(f"nets[{j}] must be a two-qubit cycle, got {net.qubits} qubit(s)")
     if len(initial_states) != q:
         raise ValueError(f"initial_states must hold one state per cycle, got {len(initial_states)} for {q} cycles")
-    initial_states = [_sized_state(s, f"initial_states[{j}]", 4) for j, s in enumerate(initial_states)]
-    probe = _sized_state(acyclic_state, "acyclic_state", 2)
+    initial_states = [check_state(s, f"initial_states[{j}]", 4) for j, s in enumerate(initial_states)]
+    probe = check_state(acyclic_state, "acyclic_state", 2)
     check_integer(n_prime, "n_prime")
     flip_bottom = np.kron(_EYE2, SIGMA_X)
     branch0 = []

@@ -26,7 +26,7 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from .linalg import ZERO_TOL, Spectrum, check_unitary, dense_eigendecomposition
+from .linalg import ZERO_TOL, Spectrum, check_integer, check_real, check_unitary, dense_eigendecomposition
 
 TWO_LEVEL_PAIRS = ((3, 4), (2, 3), (2, 4), (1, 2), (1, 3), (1, 4))
 # Diagonal-phase extension is only defined for the two control-gate shaped pairs.
@@ -131,20 +131,22 @@ def cnot_matrix(control: int, target: int) -> np.ndarray:
 # Gate specs
 
 
-class _AngleGate:
-    """Base of the gate specs that carry angles: every angle must be finite."""
-
-    def _angles(self) -> list[tuple[str, float]]:
-        return [(f.name, getattr(self, f.name)) for f in fields(self) if f.type == "float"]
+class _GateSpec:
+    """Base of the gate specs: each field is checked by name at construction and kept as a plain int or float."""
 
     def __post_init__(self):
-        for name, value in self._angles():
-            if not math.isfinite(value):
-                raise ValueError(f"{type(self).__name__} field {name!r} must be finite, got {value!r}")
+        for f in fields(self):
+            name = f"{type(self).__name__} field {f.name!r}"
+            value = getattr(self, f.name)
+            if f.type == "int":
+                check_integer(value, name, low=-np.inf)  # its range: TwoLevel, ControlNot and compile_cycle check it
+                object.__setattr__(self, f.name, int(value))
+            else:
+                object.__setattr__(self, f.name, check_real(value, name))
 
 
 @dataclass(frozen=True)
-class SingleQubit(_AngleGate):
+class SingleQubit(_GateSpec):
     """Arbitrary U(2) gate on one loop line (line 1 = top/leftmost bit)."""
 
     line: int
@@ -155,7 +157,7 @@ class SingleQubit(_AngleGate):
 
 
 @dataclass(frozen=True)
-class ControlDown(_AngleGate):
+class ControlDown(_GateSpec):
     """Control on the top loop, U(2) block on the bottom qubit (|10>,|11>)."""
 
     alpha: float = 0.0
@@ -165,7 +167,7 @@ class ControlDown(_AngleGate):
 
 
 @dataclass(frozen=True)
-class ControlUp(_AngleGate):
+class ControlUp(_GateSpec):
     """Control on the bottom loop, U(2) block on the top qubit (|01>,|11>)."""
 
     alpha: float = 0.0
@@ -175,7 +177,7 @@ class ControlUp(_AngleGate):
 
 
 @dataclass(frozen=True)
-class TwoLevel(_AngleGate):
+class TwoLevel(_GateSpec):
     """Two-level factor mixing basis levels p and r (1-based), optionally phased."""
 
     p: int
@@ -191,30 +193,34 @@ class TwoLevel(_AngleGate):
 
 
 @dataclass(frozen=True)
-class DiagonalLayer(_AngleGate):
+class DiagonalLayer(_GateSpec):
     """Diagonal phase gate diag(e^{i g1}, ..., e^{i g4})."""
 
     gammas: tuple[float, float, float, float]
 
-    def _angles(self) -> list[tuple[str, float]]:
-        return [(f"gamma{i}", g) for i, g in enumerate(self.gammas, start=1)]
+    def __post_init__(self):
+        if not isinstance(self.gammas, (tuple, list)) or len(self.gammas) != 4:
+            raise ValueError(f"DiagonalLayer field 'gammas' must hold four angles, got {self.gammas!r}")
+        gammas = tuple(check_real(g, f"DiagonalLayer field 'gamma{i}'") for i, g in enumerate(self.gammas, start=1))
+        object.__setattr__(self, "gammas", gammas)
 
 
 @dataclass(frozen=True)
-class NotGate:
+class NotGate(_GateSpec):
     """Bit flip on one loop line."""
 
     line: int
 
 
 @dataclass(frozen=True)
-class ControlNot:
+class ControlNot(_GateSpec):
     """Controlled-Not between the two loop lines."""
 
     control: int
     target: int
 
     def __post_init__(self):
+        super().__post_init__()
         _check_cnot_lines(self.control, self.target)
 
 
@@ -238,6 +244,8 @@ def _embed_single(u2: np.ndarray, line: int, qubits: int) -> np.ndarray:
 
 def gate_matrix(gate: GateSpec, qubits: int) -> np.ndarray:
     """Dense matrix of one gate embedded in the network's full space."""
+    if qubits not in (1, 2):
+        raise ValueError(f"qubits must be 1 or 2, got {qubits!r}")
     if isinstance(gate, SingleQubit):
         return _embed_single(u2_matrix(gate.alpha, gate.phi, gate.beta, gate.delta), gate.line, qubits)
     if isinstance(gate, NotGate):
@@ -273,8 +281,13 @@ class CyclicNetwork:
     gates: tuple = ()
 
     def __post_init__(self):
-        if self.qubits not in (1, 2):
-            raise ValueError("networks support 1 or 2 loop qubits")
+        check_integer(self.qubits, "CyclicNetwork field 'qubits'", 1, 2)
+        if not isinstance(self.gates, (tuple, list)):
+            raise ValueError(f"CyclicNetwork field 'gates' must be a tuple or list, got {self.gates!r}")
+        for i, gate in enumerate(self.gates):
+            if not isinstance(gate, _GateSpec):
+                raise ValueError(f"CyclicNetwork field 'gates[{i}]' must be a gate spec, got {gate!r}")
+        object.__setattr__(self, "qubits", int(self.qubits))
         object.__setattr__(self, "gates", tuple(self.gates))
 
 
@@ -289,7 +302,7 @@ def compile_cycle(net: CyclicNetwork) -> np.ndarray:
         u = _EYE4[: 2**net.qubits, : 2**net.qubits].copy()
         for gate in net.gates:
             u = gate_matrix(gate, net.qubits) @ u
-        u = check_unitary(u)
+        u = check_unitary(u, "compiled cycle")
         object.__setattr__(net, "_cycle", u)
     u.flags.writeable = False  # here, not above: a deep copy or unpickled network holds a writable copy
     return u
@@ -307,7 +320,7 @@ def cycle_spectrum(net: CyclicNetwork) -> Spectrum:
 
 def u2_parameters(w: np.ndarray) -> tuple[float, float, float, float]:
     """Recover (alpha, phi, beta, delta) with u2_matrix(...) == w for a 2x2 unitary."""
-    w = np.asarray(w, dtype=complex)
+    w = check_unitary(w, "w", 2)
     delta = 0.5 * float(np.angle(np.linalg.det(w)))
     w0 = np.exp(-1j * delta) * w
     c, s = abs(w0[0, 0]), abs(w0[0, 1])
@@ -389,31 +402,13 @@ _CLASS_TO_KIND = {cls: kind for kind, cls in _KIND_TO_CLASS.items()}
 
 
 def _gate_to_json(gate: GateSpec) -> dict:
-    doc = {"kind": _CLASS_TO_KIND[type(gate)]}
     if isinstance(gate, DiagonalLayer):
-        for i, g in enumerate(gate.gammas, start=1):
-            doc[f"gamma{i}"] = float(g)
-        return doc
-    for f in fields(gate):
-        value = getattr(gate, f.name)
-        doc[f.name] = float(value) if isinstance(value, float) else value
-    return doc
-
-
-def _json_number(doc: dict, name: str, integer: bool) -> int | float:
-    """doc[name] as an int (integer=True) or a float, raising ValueError that names the field."""
-    value = doc[name]
-    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
-        raise ValueError(f"field {name!r} must be {'an integer' if integer else 'a number'}, got {value!r}")
-    if integer:
-        return value
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"field {name!r} must be finite, got a {len(str(value))}-digit integer") from None
+        return {"kind": "diagonal", **{f"gamma{i}": g for i, g in enumerate(gate.gammas, start=1)}}
+    return {"kind": _CLASS_TO_KIND[type(gate)], **{f.name: getattr(gate, f.name) for f in fields(gate)}}
 
 
 def _gate_from_json(doc: dict) -> GateSpec:
+    """The gate one entry of 'gates' describes; the gate spec checks the field values."""
     if not isinstance(doc, dict):
         raise ValueError(f"each entry of 'gates' must be an object, got {doc!r}")
     if "kind" not in doc:
@@ -424,17 +419,13 @@ def _gate_from_json(doc: dict) -> GateSpec:
     cls = _KIND_TO_CLASS[kind]
     if cls is DiagonalLayer:
         try:
-            gammas = tuple(_json_number(doc, f"gamma{i}", integer=False) for i in range(1, 5))
+            return DiagonalLayer(tuple(doc[f"gamma{i}"] for i in range(1, 5)))
         except KeyError as exc:
             raise ValueError(f"diagonal gate missing field {exc.args[0]!r}") from exc
-        return DiagonalLayer(gammas)
-    kwargs = {}
     for f in fields(cls):
-        if f.name in doc:
-            kwargs[f.name] = _json_number(doc, f.name, integer=f.type == "int")
-        elif f.default is MISSING:
+        if f.default is MISSING and f.name not in doc:
             raise ValueError(f"gate kind {kind!r} missing field {f.name!r}")
-    return cls(**kwargs)
+    return cls(**{f.name: doc[f.name] for f in fields(cls) if f.name in doc})
 
 
 def network_to_json(net: CyclicNetwork) -> dict:
@@ -448,11 +439,10 @@ def network_from_json(doc: dict) -> CyclicNetwork:
         raise ValueError(f"network document must be an object, got {doc!r}")
     if "qubits" not in doc:
         raise ValueError("network document missing 'qubits'")
-    qubits = _json_number(doc, "qubits", integer=True)
     gates = doc.get("gates", [])
     if not isinstance(gates, list):
         raise ValueError(f"field 'gates' must be a list, got {gates!r}")
-    return CyclicNetwork(qubits, tuple(_gate_from_json(g) for g in gates))
+    return CyclicNetwork(doc["qubits"], tuple(_gate_from_json(g) for g in gates))
 
 
 def dumps_network(net: CyclicNetwork) -> str:

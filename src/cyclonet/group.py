@@ -194,8 +194,6 @@ def extract_u4_parameters(u) -> U4Parameters:
     Successive two-level eliminations zero one upper off-diagonal entry per
     factor (in reverse factor order); the residual diagonal gives the phases.
     """
-    u = check_unitary(u)
-    if u.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 unitary, got {u.shape}")
+    u = check_unitary(u, "u", 4)
     gammas, rotations = _eliminate(u, reversed(U4_PAIR_ORDER))
     return U4Parameters(tuple(gammas), tuple(rotations[pair] for pair in U4_PAIR_ORDER))

@@ -10,6 +10,7 @@ validated against.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,14 +40,6 @@ def as_matrix(u) -> np.ndarray:
     return u
 
 
-def as_state(v) -> np.ndarray:
-    """Coerce to a complex state vector."""
-    v = np.asarray(v, dtype=complex)
-    if v.ndim != 1:
-        raise ValueError(f"expected a vector, got shape {v.shape}")
-    return v
-
-
 def unitarity_defect(u) -> float:
     """Largest absolute entry of U†U − I."""
     u = as_matrix(u)
@@ -55,14 +48,16 @@ def unitarity_defect(u) -> float:
     return float(np.abs(gram).max())
 
 
-def check_unitary(u) -> np.ndarray:
-    """Return U as an ndarray, raising ValueError if it is not unitary."""
-    u = as_matrix(u)
+def check_unitary(u, name: str, dim: int | None = None) -> np.ndarray:
+    """Return u as a complex ndarray, raising ValueError naming the field unless it is a finite (dim x dim) unitary."""
+    u = np.asarray(u, dtype=complex)
+    if u.ndim != 2 or u.shape[0] != u.shape[1] or dim not in (None, u.shape[0]):
+        raise ValueError(f"{name} must be a {'square' if dim is None else f'{dim}x{dim}'} matrix, got shape {u.shape}")
     defect = unitarity_defect(u)
     if not defect <= UNITARY_TOL:  # a non-finite entry makes the defect NaN or inf
         if not np.isfinite(u).all():
-            raise ValueError("matrix contains non-finite entries")
-        raise ValueError(f"matrix is not unitary (defect {defect:.3e} > {UNITARY_TOL:.1e})")
+            raise ValueError(f"{name} must be finite, got non-finite entries")
+        raise ValueError(f"{name} must be unitary, got defect {defect:.3e} > {UNITARY_TOL:.1e}")
     return u
 
 
@@ -75,22 +70,22 @@ def is_block_form(g: np.ndarray) -> bool:
 
 def check_block_form(g) -> np.ndarray:
     """Return g as an ndarray, raising ValueError unless it is a block-form 4x4 unitary."""
-    g = check_unitary(g)
-    if g.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 unitary, got {g.shape}")
+    g = check_unitary(g, "g", 4)
     if not is_block_form(g):
-        raise ValueError("matrix lacks the inert-|00> block form")
+        raise ValueError("g must have the inert-|00> block form")
     return g
 
 
-def check_state(v) -> np.ndarray:
-    """Return v as an ndarray, raising ValueError if it is not normalized."""
-    v = as_state(v)
-    if not np.isfinite(v).all():
-        raise ValueError("state contains non-finite amplitudes")
+def check_state(v, name: str, dim: int) -> np.ndarray:
+    """Return v as a complex ndarray, raising ValueError naming the field unless it is a dim-entry unit vector."""
+    v = np.asarray(v, dtype=complex)
+    if v.shape != (dim,):
+        raise ValueError(f"{name} must have {dim} entries, got shape {v.shape} (dimension mismatch)")
     norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > STATE_TOL:
-        raise ValueError(f"state is not normalized (|norm - 1| = {abs(norm - 1):.3e})")
+    if not abs(norm - 1.0) <= STATE_TOL:  # a non-finite amplitude makes the norm NaN or inf
+        if not np.isfinite(v).all():
+            raise ValueError(f"{name} must be finite, got non-finite amplitudes")
+        raise ValueError(f"{name} must be a unit vector, got |norm - 1| = {abs(norm - 1):.3e}")
     return v
 
 
@@ -100,6 +95,21 @@ def check_integer(value, name: str, low=0, high=np.inf) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if not low <= int(value) <= high:  # int(): a numpy integer compares with inf about 15x slower
         raise ValueError(f"{name} must lie in [{low}, {high}], got {value}")
+
+
+def check_real(value, name: str, low=-np.inf, high=np.inf) -> float:
+    """Return value as a float, raising ValueError naming the field unless it is a finite int or float in [low, high]."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a number (int or float), got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got an integer too large for a float") from None
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    if not low <= x <= high:
+        raise ValueError(f"{name} must lie in [{low}, {high}], got {value!r}")
+    return x
 
 
 def basis_state(dim: int, index: int) -> np.ndarray:
@@ -162,7 +172,7 @@ def dense_eigendecomposition(u) -> Spectrum:
     phase of each (canonicalized) eigenvector's leading nonzero entry.  The
     Schur route keeps eigenvectors orthonormal even for degenerate spectra.
     """
-    u = check_unitary(u)  # finite from here on, so zgees need not check again
+    u = check_unitary(u, "u")  # finite from here on, so zgees need not check again
     t, _, _, z, _, info = _ZGEES(_no_sort, u, lwork=_schur_lwork(u.shape[0]))
     # scipy.linalg.schur's checks; with no sorting, info > 0 means the QR iteration failed.
     if info < 0:

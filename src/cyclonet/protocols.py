@@ -52,10 +52,8 @@ class MemoryRecord:
 
 def memory_store(net: CyclicNetwork, psi) -> MemoryRecord:
     """Swap a state into a cycle and remember everything retrieval needs."""
-    psi = check_state(psi)
     u = compile_cycle(net)
-    if psi.shape[0] != u.shape[0]:
-        raise ValueError("state dimension does not match the cycle")
+    psi = check_state(psi, "psi", u.shape[0])
     return MemoryRecord(net=net, state=psi, cycle_matrix=u, spectrum=cycle_spectrum(net))
 
 

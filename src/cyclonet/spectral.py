@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import alternating_pair_network, compile_cycle
-from .linalg import CANCEL_RATIO, ROOT_TOL, TRACE_SLACK, ZERO_TOL
+from .linalg import CANCEL_RATIO, ROOT_TOL, TRACE_SLACK, ZERO_TOL, check_real
 from .linalg import Spectrum, check_block_form, check_unitary, dense_eigendecomposition
 
 log = logging.getLogger(__name__)
@@ -104,9 +104,7 @@ def cubic_coefficients(m) -> CubicCoefficients:
     a1 = -tr M, a2 = sum of principal 2x2 minors, a3 = -det M, with the
     depressed-cubic intermediates q, p and the Cardano radicand root w.
     """
-    m = check_unitary(m)
-    if m.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 block, got {m.shape}")
+    m = check_unitary(m, "m", 3)
     return _block_cubic(m, m.tolist())
 
 
@@ -150,9 +148,7 @@ def solve_cubic(coeffs: CubicCoefficients) -> np.ndarray:
 
 def real_trace_eigenvalues(trace: float) -> np.ndarray:
     """Roots {1, e^{i nu}, e^{-i nu}} with cos nu = (tr - 1)/2, for real trace in [-1, 3]."""
-    trace = float(trace)
-    if not -1.0 - TRACE_SLACK <= trace <= 3.0 + TRACE_SLACK:  # false for NaN too
-        raise ValueError(f"argument 'trace' must be finite and in [-1, 3], got {trace}")
+    trace = check_real(trace, "argument 'trace'", -1.0 - TRACE_SLACK, 3.0 + TRACE_SLACK)
     radicand = max((3.0 - trace) * (trace + 1.0), 0.0)
     re = (trace - 1.0) / 2.0
     im = np.sqrt(radicand) / 2.0
@@ -169,7 +165,11 @@ def block_form_eigenstates(g, eigenvalues) -> Spectrum:
     keep their printed signs.  Raises DegenerateSpectrumError when the roots
     are too close for the cofactor vectors to be reliable.
     """
-    return _cofactor_eigenstates(check_block_form(g)[1:, 1:].tolist(), eigenvalues)
+    rows = check_block_form(g)[1:, 1:].tolist()
+    lams = np.asarray(eigenvalues, dtype=complex)
+    if not np.isfinite(lams).all():
+        raise ValueError(f"eigenvalues must be finite, got {eigenvalues!r}")
+    return _cofactor_eigenstates(rows, lams)
 
 
 def _cofactor_eigenstates(rows: list, eigenvalues) -> Spectrum:

@@ -310,6 +310,27 @@ class TestErrorExits:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize(
+        "argv, usage",
+        [
+            ("demo memory --output P", "usage: cyclonet demo memory [-h]"),
+            ("demo chain --bit 1", "usage: cyclonet demo chain [-h]"),
+            ("figure pert-series --nu1 0.7 --output P --grid-step 0.5", "usage: cyclonet figure pert-series [-h]"),
+            ("figure --bits=3 nu0-sweep --output P", "usage: cyclonet figure [-h]"),
+        ],
+    )
+    def test_unrecognized_option_is_reported_under_its_commands_usage(self, tmp_path, capsys, argv, usage):
+        out = tmp_path / "p.csv"
+        argv = [str(out) if arg == "P" else arg for arg in argv.split()]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 2 and captured.out == ""
+        assert captured.err.startswith(usage)
+        assert "unrecognized arguments:" in captured.err.splitlines()[-1]
+        assert not out.exists()
+
+
 # sha256 of the CSVs these arguments wrote before the spectral layer was
 # consolidated (numpy 2.4, x86-64 Linux); a refactor must keep every byte.
 GOLDEN_SHA256 = {

@@ -63,6 +63,13 @@ class TestEvolve:
         with pytest.raises(ValueError, match="mismatch"):
             evolve(alternating_pair_network(0.5), basis_state(2, 0), 1)
 
+    @pytest.mark.parametrize(
+        "psi0", [[1.0, 0.0], basis_state(8, 0), 2 * basis_state(4, 1), [np.inf, 0.0, 0.0, 0.0]], ids=["2", "8", "norm 2", "inf"]
+    )
+    def test_bad_state_error_names_the_field(self, psi0):
+        with pytest.raises(ValueError, match="^psi0 must"):
+            evolve(alternating_pair_network(0.5), psi0, 1)
+
     def test_negative_and_numpy_counts(self):
         rng = np.random.default_rng(63)
         net = random_alternating_network(rng)
@@ -398,6 +405,28 @@ class TestAmplitudeSeries:
             series = perturbed_amplitude_series(phi, 0, "110", period + 50)
             for n in range(50):
                 assert abs(series[n + period] - series[n]) < 1e-9
+
+    @pytest.mark.parametrize(
+        "row, start, n_max, field",
+        [
+            (7, basis_state(4, 1), 3, "row"),
+            (-1, basis_state(4, 1), 3, "row"),
+            (1.0, basis_state(4, 1), 3, "row"),
+            (0, basis_state(4, 1), 2.5, "n_max"),
+            (0, basis_state(4, 1), -1, "n_max"),
+            (0, [1.0, 0.0], 3, "start"),
+        ],
+    )
+    def test_bad_input_error_names_the_field(self, row, start, n_max, field):
+        spectrum = rotation_pair_spectrum(1.0)
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            amplitude_series(spectrum, row, start, n_max)
+
+    def test_start_of_any_norm_is_accepted(self):
+        # The amplitudes are linear in the start vector, so only its size is checked.
+        spectrum = rotation_pair_spectrum(1.0)
+        start = spectrum.vectors[:, 0]
+        np.testing.assert_allclose(amplitude_series(spectrum, 1, 3 * start, 5), 3 * amplitude_series(spectrum, 1, start, 5))
 
     def test_bad_basis_label(self):
         with pytest.raises(ValueError, match="basis"):

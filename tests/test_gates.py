@@ -2,10 +2,11 @@
 
 import copy
 import pickle
+from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cyclonet import (
@@ -29,18 +30,32 @@ from cyclonet import (
     dense_eigendecomposition,
     dumps_network,
     gate_matrix,
+    load_network,
     loads_network,
     network_from_json,
     network_to_json,
     real_trace_eigenvalues,
+    save_network,
     so3_example_closed_form,
     two_level_matrix,
     u2_matrix,
+    u2_parameters,
     unitarity_defect,
 )
 from cyclonet import gates
 
 from helpers import random_alternating_network
+
+# One gate of each of the seven kinds, all valid on two loop qubits.
+EVERY_GATE_KIND = (
+    SingleQubit(1, 0.3, 0.7, -1.1, 0.2),
+    ControlDown(0.1, 0.9, 0.4, -0.6),
+    NotGate(2),
+    ControlUp(-0.5, 1.3, 2.2, 0.8),
+    TwoLevel(2, 4, 0.6, -0.3, 0.25, -1.5),
+    ControlNot(2, 1),
+    DiagonalLayer((0.0, 1.2, -2.4, 3.0)),
+)
 
 
 class TestU2Matrix:
@@ -171,6 +186,17 @@ class TestCompile:
         with pytest.raises(ValueError, match="two-qubit"):
             compile_cycle(CyclicNetwork(1, (ControlDown(phi=0.1),)))
 
+    @pytest.mark.parametrize("gate", [SingleQubit(1), NotGate(2), ControlDown(phi=0.1)])
+    @pytest.mark.parametrize("qubits", [0, 3])
+    def test_gate_matrix_refuses_other_widths(self, gate, qubits):
+        with pytest.raises(ValueError, match="^qubits must be 1 or 2"):
+            gate_matrix(gate, qubits)
+
+    @pytest.mark.parametrize("gate", [5, None, "u2", (SingleQubit(1),)])
+    def test_network_refuses_a_gate_that_is_not_a_gate_spec(self, gate):
+        with pytest.raises(ValueError, match=r"'gates\[1\]' must be a gate spec"):
+            CyclicNetwork(2, (ControlDown(phi=0.1), gate))
+
     def test_three_qubits_rejected(self):
         with pytest.raises(ValueError):
             CyclicNetwork(3, ())
@@ -289,6 +315,14 @@ class TestCompress:
         with pytest.raises(ValueError, match="orientation"):
             compress_same_orientation([ControlDown(phi=0.1), ControlUp(phi=0.2)])
 
+    @pytest.mark.parametrize(
+        "w, message",
+        [(np.eye(3), "^w must be a 2x2 matrix"), (np.full((2, 2), np.nan), "^w must be finite"), (np.ones((2, 2)), "^w must be unitary")],
+    )
+    def test_u2_parameters_refuses_a_matrix_that_is_not_a_2x2_unitary(self, w, message):
+        with pytest.raises(ValueError, match=message):
+            u2_parameters(w)
+
     def test_compress_network_merges_runs(self):
         net = CyclicNetwork(
             2,
@@ -332,6 +366,14 @@ class TestJson:
             "beta": 0.3,
             "delta": 0.4,
         }
+
+    def test_saved_file_loads_to_an_equal_network_with_identical_bytes(self, tmp_path):
+        net = CyclicNetwork(2, EVERY_GATE_KIND)
+        path = tmp_path / "net.json"
+        save_network(net, path)
+        loaded = load_network(path)
+        assert loaded == net
+        assert compile_cycle(loaded).tobytes() == compile_cycle(net).tobytes()
 
     def test_unknown_kind_named_in_error(self):
         with pytest.raises(ValueError, match="frobnicate"):
@@ -427,3 +469,60 @@ def test_any_document_parses_exactly_or_raises_value_error(doc):
     except ValueError:
         return
     assert network_from_json(network_to_json(net)) == net
+
+
+# Any Python value a caller might pass as a gate or network field.
+ANY_VALUE = st.one_of(
+    st.integers(-1, 5),
+    st.integers(),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=2),
+    st.complex_numbers(),
+    st.just(10**400),
+    st.sampled_from(
+        [np.int64(2), np.float64(-0.5), np.float32(1.5), np.float64(np.nan), np.float32(-np.inf), np.bool_(True), np.complex128(1j)]
+    ),
+)
+
+
+@st.composite
+def python_builds(draw):
+    """(gate class, its field values, the network's qubits) as a caller might write them.
+
+    Each value is one of the field's declared type and range, or, one time in four, ANY_VALUE.
+    An angle is 0 half the time, as a TwoLevel gate off pairs (2, 4) and (3, 4) needs its gammas to be.
+    """
+
+    def value(valid):
+        return draw(ANY_VALUE) if draw(st.sampled_from([False, False, False, True])) else draw(valid)
+
+    angle = st.just(0.0) | st.floats(-10, 10)
+
+    cls = draw(st.sampled_from([type(g) for g in EVERY_GATE_KIND]))
+    if cls is DiagonalLayer:
+        kwargs = {"gammas": value(st.just(tuple(value(angle) for _ in range(4))))}
+    else:
+        kwargs = {f.name: value(st.integers(1, 4) if f.type == "int" else angle) for f in fields(cls)}
+    return cls, kwargs, value(st.integers(1, 2))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(python_builds())
+@example((SingleQubit, {"line": 1.5}, 2))
+@example((NotGate, {"line": True}, 2))
+@example((ControlDown, {"phi": None}, 2))
+@example((ControlUp, {"beta": 10**400}, 2))
+@example((NotGate, {"line": 1}, True))
+@example((ControlNot, {"control": np.int64(2), "target": 1}, np.int64(2)))
+def test_any_python_build_compiles_and_round_trips_or_raises_value_error(build):
+    cls, kwargs, qubits = build
+    try:
+        net = CyclicNetwork(qubits, (cls(**kwargs),))
+        u = compile_cycle(net)
+    except ValueError:
+        return
+    loaded = loads_network(dumps_network(net))
+    assert loaded == net
+    assert compile_cycle(loaded).tobytes() == u.tobytes()

@@ -142,6 +142,30 @@ class TestInputChecks:
         with pytest.raises(ValueError, match="^index must"):
             basis_state(4, index)
 
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (True, "a number"),
+            (np.bool_(False), "a number"),
+            (None, "a number"),
+            ("0.5", "a number"),
+            (0.5j, "a number"),
+            (float("nan"), "finite"),
+            (np.float32("-inf"), "finite"),
+            (10**400, "finite"),
+            (3.5, r"lie in \[-1, 3\]"),
+        ],
+        ids=["True", "numpy bool", "None", "str", "complex", "nan", "float32 -inf", "10**400", "out of range"],
+    )
+    def test_check_real_refuses_by_name(self, value, message):
+        with pytest.raises(ValueError, match=f"^x must (be )?{message}"):
+            linalg.check_real(value, "x", -1, 3)
+
+    @pytest.mark.parametrize("value", [0, -1, 3, np.int64(2), 0.25, np.float32(-0.5)])
+    def test_check_real_returns_a_float(self, value):
+        result = linalg.check_real(value, "x", -1, 3)
+        assert type(result) is float and result == value
+
     def test_dense_eigendecomposition_rejects_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):
             dense_eigendecomposition(np.full((4, 4), np.nan))

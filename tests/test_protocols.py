@@ -132,6 +132,13 @@ class TestMemory:
         with pytest.raises(ValueError, match="^n must"):
             retrieval(record, n)
 
+    @pytest.mark.parametrize(
+        "psi", [[1.0, 0.0], basis_state(8, 0), 2 * basis_state(4, 1), [np.nan, 0.0, 0.0, 0.0]], ids=["2", "8", "norm 2", "nan"]
+    )
+    def test_bad_state_error_names_the_field(self, psi):
+        with pytest.raises(ValueError, match="^psi must"):
+            memory_store(alternating_pair_network(1.0), psi)
+
 
 class TestSensor:
     def test_probe_zero_never_detects(self):

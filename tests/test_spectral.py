@@ -352,6 +352,12 @@ class TestInputChecks:
         with pytest.raises(ValueError, match="block form"):
             block_form_eigenstates(np.eye(4)[[1, 0, 2, 3]], roots)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_block_form_eigenstates_rejects_non_finite_eigenvalues(self, bad):
+        g = compile_cycle(alternating_pair_network(1.1))
+        with pytest.raises(ValueError, match="^eigenvalues must be finite"):
+            block_form_eigenstates(g, np.array([1.0, bad, -1j]))
+
     def test_spectrum_closed_form_rejects_non_block_form(self):
         with pytest.raises(ValueError, match="block form"):
             spectrum_closed_form(np.eye(4)[[1, 0, 2, 3]])
