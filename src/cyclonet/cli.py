@@ -60,14 +60,15 @@ def _check_output(path: str | None) -> None:
         open(path, "a", encoding="utf-8").close()
 
 
-def _write_csv(path: str, header: str, table, row_format: str, comments=()) -> None:
-    """Write a 2-D numeric table, one %-format string per row, in fixed-size chunks."""
+def _write_csv(path: str, header: str, columns, row_format: str, comments=()) -> None:
+    """Write equal-length 1-D columns as rows, one %-format string per row, stacking one fixed-size chunk at a time."""
     row_format += "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.writelines(f"# {comment}\n" for comment in comments)
         fh.write(header + "\n")
-        for start in range(0, len(table), _CHUNK_ROWS):
-            fh.write("".join([row_format % tuple(row) for row in table[start : start + _CHUNK_ROWS].tolist()]))
+        for start in range(0, len(columns[0]), _CHUNK_ROWS):
+            chunk = np.column_stack([column[start : start + _CHUNK_ROWS] for column in columns])
+            fh.write("".join([row_format % tuple(row) for row in chunk.tolist()]))
 
 
 # ----------------------------------------------------------------------------
@@ -115,9 +116,9 @@ def _figure_nu0_sweep(args) -> int:
     _check_output(args.output)
     phis = np.arange(0.0, 2.0 * np.pi, args.grid_step)
     nu0 = [np.angle(alternating_pair_root(alpha, phi)) for alpha in alphas for phi in phis]
-    table = np.column_stack([np.repeat(alphas, len(phis)), np.tile(phis, len(alphas)), nu0])
-    _write_csv(args.output, "alpha,phi,nu0", table, "%.12e,%.12e,%.12e")
-    print(f"wrote {len(table)} rows to {args.output}")
+    columns = [np.repeat(alphas, len(phis)), np.tile(phis, len(alphas)), nu0]
+    _write_csv(args.output, "alpha,phi,nu0", columns, "%.12e,%.12e,%.12e")
+    print(f"wrote {len(nu0)} rows to {args.output}")
     return 0
 
 
@@ -129,9 +130,8 @@ def _figure_pert_series(args) -> int:
     try:
         phi = nu1_to_phi(args.nu1)
         series = perturbed_amplitude_series(phi, args.eigenstate, args.basis, args.nprime_max)
-        background = closed_form_amplitude(
-            phi, args.eigenstate, args.basis, np.arange(args.nprime_max + 1)
-        )
+        n_prime = np.arange(args.nprime_max + 1)
+        background = closed_form_amplitude(phi, args.eigenstate, args.basis, n_prime)
     except DegenerateSpectrumError as exc:
         # The closed-form coefficients are this figure's content; with a
         # degenerate spectrum there is nothing to fall back to.
@@ -139,17 +139,14 @@ def _figure_pert_series(args) -> int:
         return 1
     # hypot, not np.abs: it matches the scalar abs() of each entry bit for bit.
     magnitude = np.hypot(series.real, series.imag)
-    table = np.column_stack(
-        [np.arange(len(series)), series.real, series.imag, magnitude, background.real, background.imag]
-    )
     _write_csv(
         args.output,
         "n_prime,re,im,abs,background_re,background_im",
-        table,
+        [n_prime, series.real, series.imag, magnitude, background.real, background.imag],
         "%d" + ",%.12e" * 5,
         comments=[f"nu1={args.nu1:.12e}", f"phi={phi:.12e}", f"basis={args.basis}", f"k={args.eigenstate}"],
     )
-    print(f"wrote {len(table)} rows to {args.output}")
+    print(f"wrote {len(series)} rows to {args.output}")
     return 0
 
 
@@ -194,8 +191,7 @@ def _demo_sensor(args) -> int:
     final = protocols.SensorReading(p_psi3=float(probabilities[-1]))
     print(f"P(psi3)={final.p_psi3:.9f} detected={'true' if final.detected else 'false'}")
     if args.output:
-        table = np.column_stack([np.arange(len(probabilities)), probabilities])
-        _write_csv(args.output, "n_prime,p_psi3", table, "%d,%.12e")
+        _write_csv(args.output, "n_prime,p_psi3", [np.arange(len(probabilities)), probabilities], "%d,%.12e")
     # The self-check covers every cycle count, the printed last one included.
     target = 1.0 if args.bit == 0 else 0.0
     ok = bool(np.max(np.abs(probabilities - target)) < DEMO_RESIDUAL_TOL) and final.detected == (args.bit == 1)
@@ -218,8 +214,8 @@ def _demo_phase_est(args) -> int:
     print(f"estimate={result.estimate}")
     print(f"peak probability={result.distribution.max():.9f}")
     if args.output:
-        table = np.column_stack([np.arange(len(result.distribution)), result.distribution])
-        _write_csv(args.output, "outcome,probability", table, "%d,%.12e")
+        columns = [np.arange(len(result.distribution)), result.distribution]
+        _write_csv(args.output, "outcome,probability", columns, "%d,%.12e")
     best = round(fraction * 2**args.bits) % 2**args.bits
     ok = abs(result.estimate - best / 2**args.bits) < DEMO_ESTIMATE_TOL
     return 0 if ok else 1

@@ -28,6 +28,7 @@ from .spectral import (
 _P0 = np.diag([1.0, 0.0]).astype(complex)
 _P1 = np.diag([0.0, 1.0]).astype(complex)
 _EYE2 = np.eye(2, dtype=complex)
+_BLOCK = 1 << 14  # series entries evaluated at once; a multiple of 4, so zgemv keeps a whole-array call's row kernels
 
 #: Probe-space basis labels (acyclic bit 1, then top and bottom loop bits).
 PERTURBED_BASIS_LABELS = ("100", "101", "110", "111")
@@ -61,9 +62,17 @@ def amplitude_series(spectrum: Spectrum, row: int, start, n_max: int) -> np.ndar
     start = np.asarray(start, dtype=complex)
     if start.shape != (spectrum.dim,):  # any norm: the amplitudes are linear in start
         raise ValueError(f"start must have {spectrum.dim} entries, got shape {start.shape}")
-    coeffs = spectrum.vectors.conj().T @ start
-    phase_grid = np.exp(1j * np.outer(np.arange(n_max + 1), spectrum.phases))
-    return phase_grid @ (spectrum.vectors[row, :] * coeffs)
+    weights = spectrum.vectors[row, :] * (spectrum.vectors.conj().T @ start)
+    return _blockwise(lambda lo, hi: np.exp(1j * np.outer(np.arange(lo, hi), spectrum.phases)) @ weights, n_max + 1)
+
+
+def _blockwise(evaluate, size: int) -> np.ndarray:
+    """Entries 0 .. size - 1 as evaluate(lo, hi) gives them, _BLOCK at a time: no temporary grows with size."""
+    out = np.empty(size, dtype=complex)
+    bounds = [*range(0, max(size - 1, 1), _BLOCK), size]  # a lone last entry joins the last block: numpy dots one row
+    for lo, hi in zip(bounds, bounds[1:]):
+        out[lo:hi] = evaluate(lo, hi)
+    return out
 
 
 # ----------------------------------------------------------------------------
@@ -254,13 +263,18 @@ def closed_form_amplitude(phi: float, k: int, basis: str, n_prime) -> np.ndarray
     lam = np.exp(1j * spectrum.phases[k])
     norm_k = spectrum.normalizations[k]
     c, s = np.cos(phi), np.sin(phi)
-    n_prime = np.asarray(n_prime, dtype=float)
-    if idx == 4:  # probe |1>, cycle |00>: inert under further cycles
-        return np.full(n_prime.shape, -norm_k * s * (1.0 - c * lam), dtype=complex)
-    j = idx - 5  # active-block row for |01>, |10>, |11>
-    m_j2 = table.elements[j][1].value(n_prime, table.nu1)
-    m_j3 = table.elements[j][2].value(n_prime, table.nu1)
-    return norm_k * (m_j2 * (c - lam) ** 2 - s * m_j3 * (c - lam))
+
+    def evaluate(n):
+        n = np.asarray(n, dtype=float)
+        if idx == 4:  # probe |1>, cycle |00>: inert under further cycles
+            return np.full(n.shape, -norm_k * s * (1.0 - c * lam), dtype=complex)
+        m_j2, m_j3 = (m.value(n, table.nu1) for m in table.elements[idx - 5][1:])  # row of |01>, |10> or |11>
+        return norm_k * (m_j2 * (c - lam) ** 2 - s * m_j3 * (c - lam))
+    n_prime = np.asarray(n_prime)
+    if n_prime.ndim == 0:  # a scalar n' gives a scalar
+        return evaluate(n_prime)
+    flat = n_prime.reshape(-1)  # a view when n' is contiguous
+    return _blockwise(lambda lo, hi: evaluate(flat[lo:hi]), flat.size).reshape(n_prime.shape)
 
 
 # ----------------------------------------------------------------------------
@@ -305,7 +319,7 @@ def nu1_to_phi(nu1: float) -> float:
     Solves cos nu1 = (tr - 1)/2 with tr = cos^2 phi + 2 cos phi by bisection
     on (0, pi), where the trace is monotone decreasing.
     """
-    if not 0.0 < nu1 < np.pi:
+    if not 0.0 < check_real(nu1, "nu1") < np.pi:
         raise ValueError(f"nu1 must lie strictly inside (0, pi), got {nu1}")
     target = 2.0 * np.cos(nu1) + 1.0  # required trace value
 

@@ -146,8 +146,8 @@ def extract_so3_angles(m, leading: str = "up") -> tuple[float, float, float]:
     m = np.asarray(m, dtype=float)
     if m.shape != (3, 3):
         raise ValueError(f"expected a 3x3 rotation, got {m.shape}")
-    if np.max(np.abs(m.T @ m - np.eye(3))) > MEMBERSHIP_TOL:
-        raise ValueError("matrix is not orthogonal")
+    if not np.max(np.abs(m.T @ m - np.eye(3))) <= MEMBERSHIP_TOL:  # a non-finite entry fails here, before det
+        raise ValueError("m must be a finite orthogonal matrix")
     if not _is_unimodular(m):
         raise ValueError("matrix is not a proper rotation (det != 1)")
     if leading == "down":

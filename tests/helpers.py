@@ -7,6 +7,7 @@ a genuinely different route.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 
@@ -205,3 +206,18 @@ def stepwise_chain_oracle(nets, probe, states, n_prime):
     for _ in range(n_prime):
         full = step @ full
     return full
+
+
+def traced_peak(call) -> int:
+    """Peak bytes tracemalloc sees during call(), above what was traced when it began."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()

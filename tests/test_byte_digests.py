@@ -28,13 +28,20 @@ from cyclonet import (
     alternating_pair_network,
     alternating_pair_root,
     alternating_pair_trace,
+    amplitude_series,
     block_form_eigenstates,
     classify,
+    closed_form_amplitude,
     compile_cycle,
     cubic_coefficients,
     dense_eigendecomposition,
+    dynamics,
     gate_matrix,
+    haar_unitary,
     matrix_power_spectral,
+    nu1_to_phi,
+    perturbed_amplitude_series,
+    rotation_pair_spectrum,
     so3_example_closed_form,
     solve_cubic,
     spectrum_closed_form,
@@ -445,3 +452,69 @@ def test_power_table_matches_its_reference_form_on_every_entry():
     # The edge angles really sit next to the singular set.
     for phi in TABLE_EDGE_ANGLES[:-2]:
         assert min(abs(np.sin(phi)), abs(1.0 + np.cos(phi))) < 1.1 * TABLE_SINGULAR_TOL
+
+
+# The series bodies as they were before they were evaluated in blocks, each
+# building its whole (n + 1) x 4 phase grid or n'-long temporaries at once.
+
+
+def reference_amplitude_series(spectrum, row, start, n_max):
+    coeffs = spectrum.vectors.conj().T @ np.asarray(start, dtype=complex)
+    phase_grid = np.exp(1j * np.outer(np.arange(n_max + 1), spectrum.phases))
+    return phase_grid @ (spectrum.vectors[row, :] * coeffs)
+
+
+def reference_closed_form_amplitude(phi, k, basis, n_prime):
+    idx = int(basis, 2)
+    table = so3_example_closed_form(phi)
+    spectrum = rotation_pair_spectrum(phi)
+    lam = np.exp(1j * spectrum.phases[k])
+    norm_k = spectrum.normalizations[k]
+    c, s = np.cos(phi), np.sin(phi)
+    n_prime = np.asarray(n_prime, dtype=float)
+    if idx == 4:
+        return np.full(n_prime.shape, -norm_k * s * (1.0 - c * lam), dtype=complex)
+    j = idx - 5
+    m_j2 = table.elements[j][1].value(n_prime, table.nu1)
+    m_j3 = table.elements[j][2].value(n_prime, table.nu1)
+    return norm_k * (m_j2 * (c - lam) ** 2 - s * m_j3 * (c - lam))
+
+
+# Series lengths on both sides of one and of several blocks, a lone entry past a block included.
+BLOCK = dynamics._BLOCK
+SERIES_LENGTHS = (1, 2, BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 2, 3 * BLOCK + 7)
+
+
+def same_bytes(got, expected):
+    return type(got) is type(expected) and np.shape(got) == np.shape(expected) and got.tobytes() == expected.tobytes()
+
+
+def test_blocked_series_match_their_whole_array_forms_bit_for_bit():
+    rng = np.random.default_rng(BATTERY_SEED)
+    generic = dense_eigendecomposition(haar_unitary(4, rng))
+    start = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    phi = nu1_to_phi(0.7)
+    pair = rotation_pair_spectrum(phi)
+    flip = np.kron(np.eye(2), [[0.0, 1.0], [1.0, 0.0]])
+    for length in SERIES_LENGTHS:
+        for row in range(4):
+            expected = reference_amplitude_series(generic, row, start, length - 1)
+            assert same_bytes(amplitude_series(generic, row, start, length - 1), expected), (length, row)
+        n_prime = np.arange(length)
+        for k in range(3):
+            for basis in dynamics.PERTURBED_BASIS_LABELS:
+                expected = reference_amplitude_series(pair, int(basis, 2) - 4, flip @ pair.vectors[:, k], length - 1)
+                assert same_bytes(perturbed_amplitude_series(phi, k, basis, length - 1), expected), (length, k, basis)
+                expected = reference_closed_form_amplitude(phi, k, basis, n_prime)
+                assert same_bytes(closed_form_amplitude(phi, k, basis, n_prime), expected), (length, k, basis)
+
+
+def test_blocked_closed_form_keeps_the_shape_and_type_of_any_n_prime():
+    phi = nu1_to_phi(1.3)
+    grid = np.linspace(-3.0, 4000.0, 3 * (BLOCK + 1)).reshape(3, BLOCK + 1)
+    for k in range(3):
+        for basis in dynamics.PERTURBED_BASIS_LABELS:
+            # 2-D, C-ordered or not, and scalars, whose result type (a 0-d array for basis 100) is kept.
+            for n_prime in (grid, grid.T, grid[:, ::2], 7, 2.5, np.float64(1e5), np.int64(12)):
+                expected = reference_closed_form_amplitude(phi, k, basis, n_prime)
+                assert same_bytes(closed_form_amplitude(phi, k, basis, n_prime), expected), (k, basis, n_prime)

@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 from cyclonet import Spectrum, dynamics, linalg, protocols
 from cyclonet.cli import main
 
+from helpers import traced_peak
+
 
 @pytest.fixture
 def schur_calls(monkeypatch):
@@ -183,6 +185,15 @@ class TestFigures:
             n, re, im, mag, bre, bim = line.split(",")
             assert abs(float(re) - float(bre)) < 1e-9
             assert abs(float(im) - float(bim)) < 1e-9
+
+    def test_pert_series_peak_memory_stays_near_its_columns(self, tmp_path, capsys):
+        # The six 8-byte columns are the only arrays as long as the file; one block of series
+        # temporaries and one write chunk come on top.  At 2x10^5 rows that traces 17.2 MB against
+        # 9.6 MB of columns.  Stacking the whole table and the whole phase grid peaks at 25.7 MB.
+        n = 200_000
+        argv = ["figure", "pert-series", "--nu1", "0.7", "--nprime-max", str(n), "--output", str(tmp_path / "s.csv")]
+        peak = traced_peak(lambda: main(argv))
+        assert peak < 2 * 6 * 8 * (n + 1), f"pert-series peaked at {peak / 1e6:.1f} MB"
 
     def test_pert_series_requires_nu1(self, tmp_path, capsys):
         assert main(["figure", "pert-series", "--output", str(tmp_path / "x.csv")]) == 2
@@ -427,6 +438,12 @@ class TestDemos:
         assert main(["demo", "phase-est", "--phase", "1/8", "--bits", "3"]) == 0
         out = capsys.readouterr().out
         assert "estimate=0.125" in out
+
+    # The printed fraction is the estimated eigenphase over 2 pi, mod 1, not the --phase argument.
+    @pytest.mark.parametrize("phase, printed", [("9/8", "0.125000000"), ("5/8", "0.625000000"), ("1/3", "0.333333333")])
+    def test_phase_estimation_demo_prints_the_eigenphase_fraction(self, capsys, phase, printed):
+        assert main(["demo", "phase-est", "--phase", phase, "--bits", "4"]) == 0
+        assert f"eigenphase fraction={printed}\n" in capsys.readouterr().out
 
     def test_chain_demo(self, capsys):
         assert main(["demo", "chain", "--links", "2", "--nprime-max", "4", "--seed", "5"]) == 0

@@ -31,6 +31,7 @@ from helpers import (
     random_state,
     stepwise_chain_oracle,
     stepwise_perturb_oracle,
+    traced_peak,
 )
 
 
@@ -415,12 +416,29 @@ class TestAmplitudeSeries:
             (0, basis_state(4, 1), 2.5, "n_max"),
             (0, basis_state(4, 1), -1, "n_max"),
             (0, [1.0, 0.0], 3, "start"),
+            (4, basis_state(4, 1), 3, "row"),  # one past the last row
         ],
     )
     def test_bad_input_error_names_the_field(self, row, start, n_max, field):
         spectrum = rotation_pair_spectrum(1.0)
         with pytest.raises(ValueError, match=f"^{field} must"):
             amplitude_series(spectrum, row, start, n_max)
+
+    def test_peak_memory_is_the_output_plus_one_block(self):
+        # Blocks of cycle counts keep the temporaries to a fixed size: 5.3 MB (amplitude_series) and
+        # 4.4 MB (closed_form_amplitude) are traced for a 3.2 MB series of 2x10^5 + 1 entries.  A whole
+        # (n + 1) x 4 phase grid peaks at 25.6 MB, and whole n'-long temporaries at 12.9 MB.
+        n = 200_000
+        phi = nu1_to_phi(0.7)
+        spectrum = rotation_pair_spectrum(phi)
+        calls = {
+            "amplitude_series": lambda: amplitude_series(spectrum, 2, spectrum.vectors[:, 1], n),
+            "closed_form_amplitude": lambda: closed_form_amplitude(phi, 1, "110", np.arange(n + 1)),
+        }
+        output_bytes = (n + 1) * np.dtype(complex).itemsize
+        for name, call in calls.items():
+            peak = traced_peak(call)
+            assert peak < 2 * output_bytes, f"{name} peaked at {peak / 1e6:.1f} MB"
 
     def test_start_of_any_norm_is_accepted(self):
         # The amplitudes are linear in the start vector, so only its size is checked.
@@ -454,6 +472,8 @@ class TestNu1Inversion:
             nu1_to_phi(0.0)
         with pytest.raises(ValueError):
             nu1_to_phi(np.pi)
+        with pytest.raises(ValueError, match="^nu1 must be a number"):
+            nu1_to_phi(None)
 
 
 class TestChain:

@@ -198,6 +198,8 @@ class TestSo3:
     def test_rejects_non_orthogonal(self):
         with pytest.raises(ValueError, match="orthogonal"):
             extract_so3_angles(np.ones((3, 3)))
+        with pytest.raises(ValueError, match="^m must be a finite orthogonal"):  # refused before det sees a NaN
+            extract_so3_angles(np.full((3, 3), np.nan))
 
     def test_rejects_improper_rotation(self):
         with pytest.raises(ValueError, match="det"):

@@ -262,6 +262,14 @@ class TestPhaseEstimation:
         assert abs(result.estimate - 5.0 / 16.0) < 1e-15
         assert result.distribution[5] > 0.4
 
+    @pytest.mark.parametrize("fraction", [0.125, 0.3173828125, 0.625, 0.9])
+    def test_phase_fraction_is_the_eigenphase_over_two_pi_mod_one(self, fraction):
+        # 0.625 and 0.9 have eigenphases in (-pi, 0), so the mod 1 matters.
+        net, index = diagonal_phase_network(fraction)
+        result = phase_estimation_demo(net, index, 3)
+        assert abs(result.phase_fraction - fraction) < 1e-12
+        assert result.phase_fraction == (result.eigenphase / (2.0 * np.pi)) % 1.0
+
     def test_kickback_phases_double_per_qubit(self):
         fraction = 0.3173828125  # 325/1024, generic but exactly representable
         net, index = diagonal_phase_network(fraction)
