@@ -21,6 +21,7 @@ from .linalg import TABLE_SINGULAR_TOL, Spectrum, check_integer, check_real, che
 from .linalg import dense_eigendecomposition
 from .spectral import (
     DegenerateSpectrumError,
+    alternating_pair_trace,
     block_form_eigenstates,
     real_trace_eigenvalues,
 )
@@ -124,8 +125,7 @@ def so3_example_closed_form(phi: float) -> CyclePowerTable:
     c, s = float(np.cos(phi)), float(np.sin(phi))
     if abs(s) < TABLE_SINGULAR_TOL or abs(c + 1.0) < TABLE_SINGULAR_TOL:
         raise DegenerateSpectrumError(f"closed-form table singular at phi = {phi}")
-    trace = c * c + 2.0 * c
-    nu1 = float(np.arccos((trace - 1.0) / 2.0))
+    nu1 = float(np.arccos((alternating_pair_trace(0.0, phi).real - 1.0) / 2.0))
     cn, sn = np.cos(nu1), np.sin(nu1)
     c2n, s2n = np.cos(2.0 * nu1), np.sin(2.0 * nu1)
     d1 = c + 3.0
@@ -194,21 +194,24 @@ def perturb(scenario: PerturbationScenario) -> np.ndarray:
     psi = check_state(scenario.initial_state, "initial_state", 4)
     phi_vec = scenario.probe_vector()
     w = scenario.operator()
-    u = compile_cycle(scenario.net)
-    spectrum = cycle_spectrum(scenario.net)
-    u_before = matrix_power_spectral(u, scenario.cycles_before, spectrum)
-    u_after = matrix_power_spectral(u, scenario.cycles_after, spectrum)
+    net, before, after = scenario.net, scenario.cycles_before, scenario.cycles_after
     if scenario.coupling == "control_on_acyclic":
-        w_bottom = np.kron(_EYE2, w)
-        branch0 = u_after @ u_before @ psi
-        branch1 = u_after @ w_bottom @ u_before @ psi
-        return np.kron(_P0 @ phi_vec, branch0) + np.kron(_P1 @ phi_vec, branch1)
-    p0_bottom = np.kron(_EYE2, _P0)  # target_on_acyclic
-    p1_bottom = np.kron(_EYE2, _P1)
-    evolved = u_before @ psi
-    branch0 = u_after @ p0_bottom @ evolved
-    branch1 = u_after @ p1_bottom @ evolved
+        return _probe_controlled(phi_vec, w, [(net, psi, before, after)])
+    evolved = evolve(net, psi, before)  # target_on_acyclic: the bottom qubit picks the probe's operator
+    u_after = matrix_power_spectral(compile_cycle(net), after, cycle_spectrum(net))
+    branch0, branch1 = (u_after @ np.kron(_EYE2, p) @ evolved for p in (_P0, _P1))
     return np.kron(phi_vec, branch0) + np.kron(w @ phi_vec, branch1)
+
+
+def _probe_controlled(probe, w, links) -> np.ndarray:
+    """Probe (x) last link (x) ... (x) first link, the probe controlling w on each link's bottom loop
+    qubit between its before and after cycles; a link is (net, psi, before, after)."""
+    w_bottom = np.kron(_EYE2, w)
+    branch0 = [evolve(net, psi, before + after) for net, psi, before, after in links]
+    branch1 = [evolve(net, w_bottom @ evolve(net, psi, before), after) for net, psi, before, after in links]
+    out0 = np.kron(_P0 @ probe, functools.reduce(np.kron, reversed(branch0)))
+    out1 = np.kron(_P1 @ probe, functools.reduce(np.kron, reversed(branch1)))
+    return out0 + out1
 
 
 def rotation_pair_spectrum(phi: float) -> Spectrum:
@@ -219,8 +222,7 @@ def rotation_pair_spectrum(phi: float) -> Spectrum:
     """
     net = alternating_pair_network(phi)
     g = compile_cycle(net)
-    c = np.cos(phi)
-    roots = real_trace_eigenvalues(c * c + 2.0 * c)
+    roots = real_trace_eigenvalues(alternating_pair_trace(0.0, phi).real)
     return block_form_eigenstates(g, roots)
 
 
@@ -302,15 +304,8 @@ def chain_evolve(nets, acyclic_state, initial_states, n_prime: int) -> np.ndarra
     initial_states = [check_state(s, f"initial_states[{j}]", 4) for j, s in enumerate(initial_states)]
     probe = check_state(acyclic_state, "acyclic_state", 2)
     check_integer(n_prime, "n_prime")
-    flip_bottom = np.kron(_EYE2, SIGMA_X)
-    branch0 = []
-    branch1 = []
-    for j, (net, psi) in enumerate(zip(nets, initial_states), start=1):
-        branch0.append(evolve(net, psi, n_prime + q))
-        branch1.append(evolve(net, flip_bottom @ evolve(net, psi, j), n_prime + q - j))
-    out0 = np.kron(_P0 @ probe, functools.reduce(np.kron, reversed(branch0)))  # cycle q leftmost
-    out1 = np.kron(_P1 @ probe, functools.reduce(np.kron, reversed(branch1)))
-    return out0 + out1
+    links = [(net, psi, j, n_prime + q - j) for j, (net, psi) in enumerate(zip(nets, initial_states), start=1)]
+    return _probe_controlled(probe, SIGMA_X, links)
 
 
 def nu1_to_phi(nu1: float) -> float:
@@ -324,8 +319,7 @@ def nu1_to_phi(nu1: float) -> float:
     target = 2.0 * np.cos(nu1) + 1.0  # required trace value
 
     def residual(phi: float) -> float:
-        c = np.cos(phi)
-        return c * c + 2.0 * c - target
+        return alternating_pair_trace(0.0, phi).real - target
 
     lo, hi = 0.0, float(np.pi)
     for _ in range(200):

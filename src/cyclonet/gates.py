@@ -62,6 +62,9 @@ def u2_matrix(alpha: float, phi: float, beta: float, delta: float = 0.0) -> np.n
     3.14 multiplies complex by float part-wise).  The e^{i delta} factor stays a
     numpy array product, which rounds unlike a scalar one.
     """
+    if not math.isfinite(alpha + phi + beta + delta):  # one test for all four; an overflowed finite sum passes below
+        for name, angle in zip(("alpha", "phi", "beta", "delta"), (alpha, phi, beta, delta)):
+            check_real(angle, f"argument {name!r}")
     c, s = complex(math.cos(phi)), complex(math.sin(phi))
     return cmath.exp(1j * delta) * np.array(
         [
@@ -105,7 +108,10 @@ def two_level_matrix(
     """
     _check_two_level(p, r, gamma_p, gamma_r)
     g = _on_levels(u2_matrix(0.0, phi, beta, 0.0), p, r)
-    if gamma_p != 0.0 or gamma_r != 0.0:
+    if gamma_p != 0.0 or gamma_r != 0.0:  # true for NaN too
+        if not math.isfinite(gamma_p + gamma_r):
+            check_real(gamma_p, "argument 'gamma_p'")
+            check_real(gamma_r, "argument 'gamma_r'")
         d = np.ones(4, dtype=complex)
         d[p - 1] = np.exp(1j * gamma_p)
         d[r - 1] = np.exp(1j * gamma_r)
@@ -118,6 +124,8 @@ def diagonal_matrix(gammas) -> np.ndarray:
     gammas = np.asarray(gammas, dtype=float)
     if gammas.shape != (4,):
         raise ValueError("diagonal gate takes exactly four phase angles")
+    if not math.isfinite(sum(gammas.tolist())) and not np.isfinite(gammas).all():  # the sum is the cheap test
+        raise ValueError(f"argument 'gammas' must be finite, got {gammas.tolist()}")
     return np.diag(np.exp(1j * gammas))
 
 

@@ -41,6 +41,7 @@ from cyclonet import (
     matrix_power_spectral,
     nu1_to_phi,
     perturbed_amplitude_series,
+    real_trace_eigenvalues,
     rotation_pair_spectrum,
     so3_example_closed_form,
     solve_cubic,
@@ -452,6 +453,56 @@ def test_power_table_matches_its_reference_form_on_every_entry():
     # The edge angles really sit next to the singular set.
     for phi in TABLE_EDGE_ANGLES[:-2]:
         assert min(abs(np.sin(phi)), abs(1.0 + np.cos(phi))) < 1.1 * TABLE_SINGULAR_TOL
+
+
+# The rotation-pair helpers as they were when each wrote the pair's trace cos^2 phi + 2 cos phi by hand.
+
+
+def reference_rotation_pair_spectrum(phi):
+    c = np.cos(phi)
+    return block_form_eigenstates(compile_cycle(alternating_pair_network(phi)), real_trace_eigenvalues(c * c + 2.0 * c))
+
+
+def reference_nu1_to_phi(nu1):
+    target = 2.0 * np.cos(nu1) + 1.0
+
+    def residual(phi):
+        c = np.cos(phi)
+        return c * c + 2.0 * c - target
+
+    lo, hi = 0.0, float(np.pi)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if residual(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+# phi near 0 and pi, where the pair's trace nears 3 and -1 and its nontrivial eigenphase nears 0 and pi.
+PAIR_EDGE_OFFSETS = (1e-15, 1e-12, 1e-8, 1e-6, 1e-4, 1e-3, 1e-2)
+
+
+def test_rotation_pair_helpers_match_their_reference_forms_bit_for_bit():
+    phis = [*np.linspace(-np.pi, np.pi, 501), *(x for d in PAIR_EDGE_OFFSETS for x in (d, -d, np.pi - d, d - np.pi))]
+    refused = 0
+    for phi in phis:
+        try:
+            expected = reference_rotation_pair_spectrum(phi)
+        except DegenerateSpectrumError:
+            with pytest.raises(DegenerateSpectrumError):
+                rotation_pair_spectrum(phi)
+            refused += 1
+            continue
+        assert spectrum_bytes(rotation_pair_spectrum(phi)) == spectrum_bytes(expected), phi
+    assert 0 < refused < len(phis) // 2  # the grid reaches the root collisions at 0 and pi, and mostly passes them
+    nu1s = [*np.linspace(0.0, np.pi, 2002)[1:-1], *(x for d in PAIR_EDGE_OFFSETS for x in (d, np.pi - d))]
+    for nu1 in nu1s:
+        assert nu1_to_phi(nu1) == reference_nu1_to_phi(nu1), nu1
+    assert nu1_to_phi(1e-15) < 1e-50 and nu1_to_phi(np.pi - 1e-15) > np.pi - 1e-3  # so phi comes near 0 and pi
 
 
 # The series bodies as they were before they were evaluated in blocks, each

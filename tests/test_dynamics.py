@@ -348,6 +348,28 @@ class TestPerturb:
         with pytest.raises(ValueError, match=f"^{field} must"):
             function(*args)
 
+    @pytest.mark.parametrize("coupling", ["control_on_acyclic", "target_on_acyclic"])
+    def test_million_cycle_counts_hold_the_n_eps_bound_to_a_direct_power_route(self, coupling):
+        # The operator string of each coupling, written out with binary-exponentiation powers.
+        p0, p1, eye2 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.eye(2)
+        rng = np.random.default_rng(95)
+        counts = [(10**6, 0), (0, 10**6), (10**6, 10**6), *(rng.integers(0, 10**6, 2, endpoint=True) for _ in range(21))]
+        for before, after in counts:
+            before, after = int(before), int(after)
+            net = random_alternating_network(rng)
+            psi, probe, w = random_state(4, rng), random_state(2, rng), haar_unitary(2, rng)
+            scenario = PerturbationScenario(net, tuple(probe), before, after, psi, coupling, w)
+            u = compile_cycle(net)
+            u_before, u_after = matrix_power_direct(u, before), matrix_power_direct(u, after)
+            if coupling == "control_on_acyclic":
+                branch1 = u_after @ np.kron(eye2, w) @ u_before @ psi
+                want = np.kron(p0 @ probe, matrix_power_direct(u, before + after) @ psi) + np.kron(p1 @ probe, branch1)
+            else:
+                branch0, branch1 = (u_after @ np.kron(eye2, p) @ u_before @ psi for p in (p0, p1))
+                want = np.kron(probe, branch0) + np.kron(w @ probe, branch1)
+            bound = 1e-12 + 16 * (before + after) * np.finfo(float).eps
+            assert np.max(np.abs(perturb(scenario) - want)) <= bound, (before, after)
+
 
 class TestAmplitudeSeries:
     def test_generic_series_matches_stepped_powers(self):
@@ -493,6 +515,16 @@ class TestChain:
             )
         )
         assert np.max(np.abs(got - want)) < 1e-12
+
+    @pytest.mark.parametrize("n_prime", [0, 6, 999_999])
+    def test_single_link_is_perturb_bit_for_bit(self, n_prime):
+        # Both run one body: the probe controls a flip after one cycle, then n' more.
+        rng = np.random.default_rng(80)
+        for _ in range(10):
+            net, psi, probe = random_alternating_network(rng), random_state(4, rng), random_state(2, rng)
+            got = chain_evolve([net], probe, [psi], n_prime)
+            want = perturb(PerturbationScenario(net, tuple(probe), 1, n_prime, psi))
+            assert got.tobytes() == want.tobytes()
 
     def test_probe_zero_gives_product_of_free_evolutions(self):
         rng = np.random.default_rng(73)

@@ -18,8 +18,10 @@ from cyclonet import (
     NotGate,
     SingleQubit,
     TwoLevel,
+    U4Parameters,
     alternating_pair_network,
     basis_state,
+    build_u4,
     classify,
     compile_cycle,
     compress_network,
@@ -28,6 +30,7 @@ from cyclonet import (
     control_up_matrix,
     cycle_spectrum,
     dense_eigendecomposition,
+    diagonal_matrix,
     dumps_network,
     gate_matrix,
     load_network,
@@ -428,6 +431,11 @@ class TestGateSpecValidation:
             # Library helpers name their argument the same way.
             (so3_example_closed_form, "phi"),
             (real_trace_eigenvalues, "trace"),
+            pytest.param(lambda x: u2_matrix(x, 0.0, 0.0), "alpha", id="u2_matrix"),
+            pytest.param(lambda x: two_level_matrix(3, 4, 0.1, 0.2, x, 0.0), "gamma_p", id="two_level_matrix"),
+            pytest.param(lambda x: diagonal_matrix([x] * 4), "gammas", id="diagonal_matrix"),
+            # build_u4 is refused by the constructor it calls.
+            pytest.param(lambda x: build_u4(U4Parameters((x,) * 4, ((0.0, 0.0),) * 6)), "gammas", id="build_u4"),
         ],
     )
     def test_non_finite_angle_rejected(self, make, field, bad):
@@ -437,6 +445,12 @@ class TestGateSpecValidation:
     def test_finite_angles_accepted(self):
         assert ControlDown(0.1, 0.2, 0.3, 0.4).phi == 0.2
         assert TwoLevel(2, 4, 0.9, -0.9, 0.25, -0.25).gamma_r == -0.25
+
+    def test_matrix_constructors_take_finite_angles_whose_sum_overflows(self):
+        # The constructors test the sum of their angles first; an overflowed sum is not a refusal.
+        assert np.isfinite(u2_matrix(1e308, 1e308, 0.0)).all()
+        assert np.isfinite(two_level_matrix(3, 4, 0.1, 0.2, 1e308, 1e308)).all()
+        assert np.isfinite(diagonal_matrix([1e308, 1e308, 0.0, 0.0])).all()
 
 
 JSON_VALUES = st.recursive(
