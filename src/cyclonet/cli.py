@@ -43,7 +43,7 @@ from .gates import (
     load_network,
 )
 from .group import classify
-from .linalg import DEMO_ESTIMATE_TOL, DEMO_FIDELITY_TOL, DEMO_RESIDUAL_TOL
+from .linalg import DEMO_ESTIMATE_TOL, DEMO_FIDELITY_TOL, DEMO_RESIDUAL_TOL, POWER_ERROR_PER_CYCLE
 from .linalg import check_integer, matrix_power_direct, unitarity_defect
 from .spectral import DegenerateSpectrumError, alternating_pair_root
 
@@ -179,7 +179,7 @@ def _demo_memory(args) -> int:
     print(f"fidelity {fidelity:.9f}")
     print(f"cycle applications: {applications}")
     print(f"spectral-power residual={residual:.3e}")
-    residual_tol = DEMO_RESIDUAL_TOL + 16 * n * np.finfo(float).eps
+    residual_tol = DEMO_RESIDUAL_TOL + n * POWER_ERROR_PER_CYCLE
     ok = fidelity > 1.0 - DEMO_FIDELITY_TOL and applications <= 4 and residual < residual_tol
     return 0 if ok else 1
 
@@ -251,7 +251,7 @@ def _demo_chain(args) -> int:
     print(f"norm={norm:.12f}")
     print(f"unperturbed-branch residual={residual:.3e}")
     # Spectral powers drift from repeated squaring like n·eps (README, "Numerical tolerances").
-    residual_tol = DEMO_RESIDUAL_TOL + 16 * n * np.finfo(float).eps
+    residual_tol = DEMO_RESIDUAL_TOL + n * POWER_ERROR_PER_CYCLE
     ok = abs(norm - 1.0) < DEMO_RESIDUAL_TOL and residual < residual_tol
     return 0 if ok else 1
 

@@ -260,6 +260,9 @@ def closed_form_amplitude(phi: float, k: int, basis: str, n_prime) -> np.ndarray
     """
     check_integer(k, "k", 0, 2)
     idx = _basis_index(basis)
+    n_prime = np.asarray(n_prime)
+    if n_prime.dtype.kind not in "iuf" or not np.isfinite(n_prime).all():
+        raise ValueError("n_prime must hold finite real numbers of cycles")
     table = so3_example_closed_form(phi)
     spectrum = rotation_pair_spectrum(phi)
     lam = np.exp(1j * spectrum.phases[k])
@@ -272,7 +275,6 @@ def closed_form_amplitude(phi: float, k: int, basis: str, n_prime) -> np.ndarray
             return np.full(n.shape, -norm_k * s * (1.0 - c * lam), dtype=complex)
         m_j2, m_j3 = (m.value(n, table.nu1) for m in table.elements[idx - 5][1:])  # row of |01>, |10> or |11>
         return norm_k * (m_j2 * (c - lam) ** 2 - s * m_j3 * (c - lam))
-    n_prime = np.asarray(n_prime)
     if n_prime.ndim == 0:  # a scalar n' gives a scalar
         return evaluate(n_prime)
     flat = n_prime.reshape(-1)  # a view when n' is contiguous

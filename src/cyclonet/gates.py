@@ -20,9 +20,10 @@ canonical range reduction is applied.
 from __future__ import annotations
 
 import cmath
+import itertools
 import json
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -62,7 +63,11 @@ def u2_matrix(alpha: float, phi: float, beta: float, delta: float = 0.0) -> np.n
     3.14 multiplies complex by float part-wise).  The e^{i delta} factor stays a
     numpy array product, which rounds unlike a scalar one.
     """
-    if not math.isfinite(alpha + phi + beta + delta):  # one test for all four; an overflowed finite sum passes below
+    try:
+        finite = math.isfinite(alpha + phi + beta + delta)  # one test for all four; an overflowed finite sum passes below
+    except TypeError:  # an angle that is no number
+        finite = False
+    if not finite:
         for name, angle in zip(("alpha", "phi", "beta", "delta"), (alpha, phi, beta, delta)):
             check_real(angle, f"argument {name!r}")
     c, s = complex(math.cos(phi)), complex(math.sin(phi))
@@ -106,10 +111,17 @@ def two_level_matrix(
     left-multiply by diagonal phases e^{i gamma} on rows p and r, which is
     only defined for pairs (2,4) and (3,4).
     """
+    if type(p) is not int or type(r) is not int:  # the specs pass ints; a bool would pass the pair test as 0 or 1
+        check_integer(p, "argument 'p'")
+        check_integer(r, "argument 'r'")
     _check_two_level(p, r, gamma_p, gamma_r)
     g = _on_levels(u2_matrix(0.0, phi, beta, 0.0), p, r)
     if gamma_p != 0.0 or gamma_r != 0.0:  # true for NaN too
-        if not math.isfinite(gamma_p + gamma_r):
+        try:
+            finite = math.isfinite(gamma_p + gamma_r)
+        except TypeError:  # a phase that is no number
+            finite = False
+        if not finite:
             check_real(gamma_p, "argument 'gamma_p'")
             check_real(gamma_r, "argument 'gamma_r'")
         d = np.ones(4, dtype=complex)
@@ -121,12 +133,15 @@ def two_level_matrix(
 
 def diagonal_matrix(gammas) -> np.ndarray:
     """diag(e^{i gamma_1}, ..., e^{i gamma_4})."""
-    gammas = np.asarray(gammas, dtype=float)
-    if gammas.shape != (4,):
-        raise ValueError("diagonal gate takes exactly four phase angles")
-    if not math.isfinite(sum(gammas.tolist())) and not np.isfinite(gammas).all():  # the sum is the cheap test
-        raise ValueError(f"argument 'gammas' must be finite, got {gammas.tolist()}")
-    return np.diag(np.exp(1j * gammas))
+    try:
+        angles = np.asarray(gammas, dtype=float)
+    except (TypeError, ValueError):  # an entry that is no real number, or a ragged list
+        angles = None
+    if angles is None or angles.shape != (4,):
+        raise ValueError(f"argument 'gammas' must hold four real angles, got {gammas!r}")
+    if not math.isfinite(sum(angles.tolist())) and not np.isfinite(angles).all():  # the sum is the cheap test
+        raise ValueError(f"argument 'gammas' must be finite, got {angles.tolist()}")
+    return np.diag(np.exp(1j * angles))
 
 
 def cnot_matrix(control: int, target: int) -> np.ndarray:
@@ -252,7 +267,7 @@ def _embed_single(u2: np.ndarray, line: int, qubits: int) -> np.ndarray:
 
 def gate_matrix(gate: GateSpec, qubits: int) -> np.ndarray:
     """Dense matrix of one gate embedded in the network's full space."""
-    if qubits not in (1, 2):
+    if qubits not in (1, 2) or type(qubits) is not int and not isinstance(qubits, np.integer):  # True == 1
         raise ValueError(f"qubits must be 1 or 2, got {qubits!r}")
     if isinstance(gate, SingleQubit):
         return _embed_single(u2_matrix(gate.alpha, gate.phi, gate.beta, gate.delta), gate.line, qubits)
@@ -361,24 +376,11 @@ def compress_same_orientation(gates) -> ControlDown | ControlUp:
 def compress_network(net: CyclicNetwork) -> CyclicNetwork:
     """Merge maximal adjacent runs of same-orientation control gates."""
     merged: list[GateSpec] = []
-    run: list[GateSpec] = []
-
-    def flush():
-        if len(run) == 1:
-            merged.append(run[0])
-        elif run:
+    for kind, run in itertools.groupby(net.gates, key=type):
+        if kind in _CONTROL_KINDS:
             merged.append(compress_same_orientation(run))
-        run.clear()
-
-    for gate in net.gates:
-        if type(gate) in _CONTROL_KINDS:
-            if run and type(run[-1]) is not type(gate):
-                flush()
-            run.append(gate)
         else:
-            flush()
-            merged.append(gate)
-    flush()
+            merged.extend(run)
     return CyclicNetwork(net.qubits, tuple(merged))
 
 
@@ -415,25 +417,21 @@ def _gate_to_json(gate: GateSpec) -> dict:
     return {"kind": _CLASS_TO_KIND[type(gate)], **{f.name: getattr(gate, f.name) for f in fields(gate)}}
 
 
+def _diagonal_from_json(gamma1, gamma2, gamma3, gamma4) -> DiagonalLayer:
+    return DiagonalLayer((gamma1, gamma2, gamma3, gamma4))  # the wire's four fields are the spec's one field
+
+
 def _gate_from_json(doc: dict) -> GateSpec:
-    """The gate one entry of 'gates' describes; the gate spec checks the field values."""
+    """The gate one entry of 'gates' describes; the gate spec names a missing or unknown field and checks the values."""
     if not isinstance(doc, dict):
         raise ValueError(f"each entry of 'gates' must be an object, got {doc!r}")
-    if "kind" not in doc:
-        raise ValueError("gate entry missing 'kind'")
-    kind = doc["kind"]
-    if not isinstance(kind, str) or kind not in _KIND_TO_CLASS:
-        raise ValueError(f"unknown gate kind {kind!r}")
-    cls = _KIND_TO_CLASS[kind]
-    if cls is DiagonalLayer:
-        try:
-            return DiagonalLayer(tuple(doc[f"gamma{i}"] for i in range(1, 5)))
-        except KeyError as exc:
-            raise ValueError(f"diagonal gate missing field {exc.args[0]!r}") from exc
-    for f in fields(cls):
-        if f.default is MISSING and f.name not in doc:
-            raise ValueError(f"gate kind {kind!r} missing field {f.name!r}")
-    return cls(**{f.name: doc[f.name] for f in fields(cls) if f.name in doc})
+    if not isinstance(kind := doc.get("kind"), str) or kind not in _KIND_TO_CLASS:
+        raise ValueError(f"gate field 'kind' must be one of {sorted(_KIND_TO_CLASS)}, got {kind!r}")
+    make = _diagonal_from_json if kind == "diagonal" else _KIND_TO_CLASS[kind]
+    try:
+        return make(**{key: value for key, value in doc.items() if key != "kind"})
+    except TypeError as exc:  # a missing or unknown keyword, named by Python
+        raise ValueError(f"gate kind {kind!r}: {exc}") from None
 
 
 def network_to_json(net: CyclicNetwork) -> dict:
@@ -445,8 +443,8 @@ def network_from_json(doc: dict) -> CyclicNetwork:
     """Parse the plain-dict form, naming the offending field on error."""
     if not isinstance(doc, dict):
         raise ValueError(f"network document must be an object, got {doc!r}")
-    if "qubits" not in doc:
-        raise ValueError("network document missing 'qubits'")
+    if "qubits" not in doc or not doc.keys() <= {"qubits", "gates"}:
+        raise ValueError(f"network document must hold 'qubits' and may hold 'gates', got fields {list(doc)}")
     gates = doc.get("gates", [])
     if not isinstance(gates, list):
         raise ValueError(f"field 'gates' must be a list, got {gates!r}")

@@ -176,8 +176,13 @@ class U4Parameters:
     rotations: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        if len(self.rotations) != len(U4_PAIR_ORDER):
-            raise ValueError(f"expected {len(U4_PAIR_ORDER)} rotation parameter pairs")
+        if not isinstance(self.gammas, (tuple, list)) or len(self.gammas) != 4:
+            raise ValueError(f"U4Parameters field 'gammas' must hold four angles, got {self.gammas!r}")
+        if not isinstance(self.rotations, (tuple, list)) or len(self.rotations) != len(U4_PAIR_ORDER):
+            raise ValueError(f"U4Parameters field 'rotations' must hold {len(U4_PAIR_ORDER)} pairs, got {self.rotations!r}")
+        for i, pair in enumerate(self.rotations):
+            if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+                raise ValueError(f"U4Parameters field 'rotations[{i}]' must be a (phi, theta) pair, got {pair!r}")
 
 
 def build_u4(params: U4Parameters) -> np.ndarray:

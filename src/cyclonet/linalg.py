@@ -29,6 +29,7 @@ GIMBAL_TOL = 1e-9  # sine of the middle Euler angle below which extraction takes
 TABLE_SINGULAR_TOL = 1e-6  # distance from sin phi = 0 or cos phi = -1 where the power table is singular
 DEMO_FIDELITY_TOL = 1e-9  # CLI memory demo: largest fidelity shortfall from 1
 DEMO_RESIDUAL_TOL = 1e-10  # CLI sensor, chain and memory demos: probability, norm, branch or spectral-power residual
+POWER_ERROR_PER_CYCLE = 2.0**-48  # 16·eps: growth per cycle of a cycle power's error, so a U^n bound is tol + n·this
 DEMO_ESTIMATE_TOL = 1e-12  # CLI phase-estimation demo: largest error of the t-bit estimate
 
 

@@ -233,6 +233,13 @@ def spectrum_closed_form(g) -> Spectrum:
 
 def alternating_pair_trace(alpha: float, phi: float) -> complex:
     """Active-block trace e^{-2i alpha} cos^2 phi + 2 e^{i alpha} cos phi."""
+    try:
+        finite = math.isfinite(alpha + phi)  # one test for both; an overflowed finite sum passes below
+    except TypeError:  # an angle that is no number
+        finite = False
+    if not finite:
+        check_real(alpha, "argument 'alpha'")
+        check_real(phi, "argument 'phi'")
     c = np.cos(phi)
     return complex(np.exp(-2j * alpha) * c * c + 2.0 * np.exp(1j * alpha) * c)
 
@@ -276,6 +283,7 @@ def alternating_su3_analysis(alpha: float, phi: float) -> AlternatingPairAnalysi
     rotated by e^{2 pi i k/3}; the multiset agrees with solve_cubic applied
     to the pair's characteristic cubic.
     """
+    trace = alternating_pair_trace(alpha, phi)  # first: it names a bad angle
     lams = np.array(
         [
             alternating_pair_root(alpha - k * THIRD_TURN, phi) * np.exp(1j * k * THIRD_TURN)
@@ -283,4 +291,4 @@ def alternating_su3_analysis(alpha: float, phi: float) -> AlternatingPairAnalysi
         ],
         dtype=complex,
     )
-    return AlternatingPairAnalysis(alternating_pair_trace(alpha, phi), lams)
+    return AlternatingPairAnalysis(trace, lams)

@@ -122,6 +122,7 @@ class TestClassify:
             ({"qubits": 2, "gates": [{"kind": "u2", "line": 1.7}]}, "line"),
             ({"qubits": 1.5, "gates": []}, "qubits"),
             ({"qubits": 2, "gates": ["control_down"]}, "gates"),
+            ({"qubits": 2, "gates": [{"kind": "control_down", "phi": 0.5, "aplha": 0.3}]}, "aplha"),
         ],
     )
     def test_mistyped_field_exits_2_naming_it(self, tmp_path, capsys, doc, field):

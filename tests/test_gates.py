@@ -46,8 +46,11 @@ from cyclonet import (
     unitarity_defect,
 )
 from cyclonet import gates
+from cyclonet.dynamics import closed_form_amplitude
+from cyclonet.linalg import ZERO_TOL
+from cyclonet.spectral import alternating_pair_trace, alternating_su3_analysis
 
-from helpers import random_alternating_network
+from helpers import EDGE_ANGLES, random_alternating_network
 
 # One gate of each of the seven kinds, all valid on two loop qubits.
 EVERY_GATE_KIND = (
@@ -343,6 +346,44 @@ class TestCompress:
         assert np.max(np.abs(compile_cycle(compressed) - compile_cycle(net))) < 1e-12
 
 
+ANGLE = st.sampled_from(EDGE_ANGLES) | st.floats(-np.pi, np.pi)
+
+
+def gates_of_width(qubits):
+    """Any gate of a kind that fits the width; on two lines, control gates come three times as often as each other kind, so runs form."""
+    line = st.integers(1, qubits)
+    single = [st.builds(SingleQubit, line, ANGLE, ANGLE, ANGLE, ANGLE), st.builds(NotGate, line)]
+    if qubits == 1:
+        return st.one_of(single)
+    control = [st.builds(kind, ANGLE, ANGLE, ANGLE, ANGLE) for kind in (ControlDown, ControlUp)]
+    two_level = st.sampled_from(gates.TWO_LEVEL_PAIRS).flatmap(
+        lambda pr: st.builds(
+            TwoLevel, st.just(pr[0]), st.just(pr[1]), ANGLE, ANGLE, *[ANGLE if pr in gates.EXTENDED_PAIRS else st.just(0.0)] * 2
+        )
+    )
+    diagonal = st.builds(DiagonalLayer, st.tuples(ANGLE, ANGLE, ANGLE, ANGLE))
+    return st.one_of(*control * 3, *single, two_level, diagonal, st.sampled_from([ControlNot(1, 2), ControlNot(2, 1)]))
+
+
+NETWORKS = st.sampled_from([1, 2]).flatmap(
+    lambda q: st.lists(gates_of_width(q), max_size=8).map(lambda gs: CyclicNetwork(q, tuple(gs)))
+)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(NETWORKS)
+def test_compression_keeps_the_cycle_and_leaves_no_run_to_merge(net):
+    compressed = compress_network(net)
+    # u2_parameters reads an angle as 0 below ZERO_TOL, which moves a merged run of k >= 2 gates by up to
+    # 2·ZERO_TOL <= k·ZERO_TOL; each gate's rounding adds a few eps.
+    bound = len(net.gates) * (ZERO_TOL + 16 * np.finfo(float).eps)
+    assert np.max(np.abs(compile_cycle(compressed) - compile_cycle(net))) <= bound
+    assert compress_network(compressed) == compressed
+    assert len(compressed.gates) <= len(net.gates)
+    kinds = [type(g) for g in compressed.gates]
+    assert not any(a is b and a in (ControlDown, ControlUp) for a, b in zip(kinds, kinds[1:]))
+
+
 class TestJson:
     def test_roundtrip_all_kinds(self):
         net = CyclicNetwork(
@@ -411,6 +452,11 @@ class TestJson:
             ({"qubits": 2, "gates": [5]}, "entry of 'gates' must be an object"),
             ({"qubits": 2, "gates": [{"kind": "control_up", "alpha": "0.1"}]}, "'alpha' must be a number"),
             ([{"qubits": 2}], "must be an object"),
+            # A field the gate kind or the document does not have is refused, not dropped.
+            ({"qubits": 2, "gates": [{"kind": "control_down", "phi": 0.5, "aplha": 0.3}]}, "'aplha'"),
+            ({"qubits": 2, "gates": [dict(kind="diagonal", gamma1=0, gamma2=0, gamma3=0, gamma4=0, gamma5=0)]}, "'gamma5'"),
+            ({"qubits": 2, "gates": [{"kind": "diagonal", "gammas": [0, 0, 0, 0]}]}, "'gammas'"),
+            ({"qubits": 2, "gates": [], "gate": []}, "'gate'"),
         ],
     )
     def test_mistyped_field_named_in_error(self, doc, message):
@@ -445,6 +491,27 @@ class TestGateSpecValidation:
     def test_finite_angles_accepted(self):
         assert ControlDown(0.1, 0.2, 0.3, 0.4).phi == 0.2
         assert TwoLevel(2, 4, 0.9, -0.9, 0.25, -0.25).gamma_r == -0.25
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            pytest.param(lambda: u2_matrix(None, 0, 0), "^argument 'alpha' must be a number", id="u2_matrix-None"),
+            pytest.param(lambda: u2_matrix("a", 0, 0), "^argument 'alpha' must be a number", id="u2_matrix-str"),
+            pytest.param(lambda: diagonal_matrix([1j, 0, 0, 0]), "^argument 'gammas' must hold four real", id="diagonal_matrix-complex"),
+            pytest.param(lambda: diagonal_matrix(["a", 0, 0, 0]), "^argument 'gammas' must hold four real", id="diagonal_matrix-str"),
+            pytest.param(lambda: two_level_matrix(True, 4, 0.1, 0.0), "^argument 'p' must be an integer", id="two_level_matrix-bool"),
+            pytest.param(lambda: two_level_matrix(3, 4, 0.1, 0.0, None, 0.0), "^argument 'gamma_p' must be a number", id="two_level_matrix-None-phase"),
+            pytest.param(lambda: gate_matrix(NotGate(1), True), "^qubits must be 1 or 2", id="gate_matrix-bool"),
+            pytest.param(lambda: U4Parameters((0, 0, 0), ((0, 0),) * 6), "^U4Parameters field 'gammas' must", id="U4Parameters-gammas"),
+            pytest.param(lambda: U4Parameters((0,) * 4, ((0, 0),) * 5 + ((0,),)), r"^U4Parameters field 'rotations\[5\]' must", id="U4Parameters-pair"),
+            pytest.param(lambda: alternating_pair_trace(np.nan, 0.3), "^argument 'alpha' must be finite", id="alternating_pair_trace-nan"),
+            pytest.param(lambda: alternating_su3_analysis(None, 0.3), "^argument 'alpha' must be a number", id="alternating_su3_analysis-None"),
+            pytest.param(lambda: closed_form_amplitude(1.0, 0, "110", np.nan), "^n_prime must", id="closed_form_amplitude-nan"),
+        ],
+    )
+    def test_helper_names_an_argument_that_is_no_number_of_its_kind(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
 
     def test_matrix_constructors_take_finite_angles_whose_sum_overflows(self):
         # The constructors test the sum of their angles first; an overflowed sum is not a refusal.
