@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .linalg import ZERO_TOL, Spectrum, check_integer, check_real, check_unitary, dense_eigendecomposition
+from .linalg import Spectrum, check_angles, check_integer, check_real, check_unitary, dense_eigendecomposition
 
 TWO_LEVEL_PAIRS = ((3, 4), (2, 3), (2, 4), (1, 2), (1, 3), (1, 4))
 # Diagonal-phase extension is only defined for the two control-gate shaped pairs.
@@ -63,13 +63,7 @@ def u2_matrix(alpha: float, phi: float, beta: float, delta: float = 0.0) -> np.n
     3.14 multiplies complex by float part-wise).  The e^{i delta} factor stays a
     numpy array product, which rounds unlike a scalar one.
     """
-    try:
-        finite = math.isfinite(alpha + phi + beta + delta)  # one test for all four; an overflowed finite sum passes below
-    except TypeError:  # an angle that is no number
-        finite = False
-    if not finite:
-        for name, angle in zip(("alpha", "phi", "beta", "delta"), (alpha, phi, beta, delta)):
-            check_real(angle, f"argument {name!r}")
+    check_angles(("alpha", "phi", "beta", "delta"), alpha, phi, beta, delta)
     c, s = complex(math.cos(phi)), complex(math.sin(phi))
     return cmath.exp(1j * delta) * np.array(
         [
@@ -114,16 +108,10 @@ def two_level_matrix(
     if type(p) is not int or type(r) is not int:  # the specs pass ints; a bool would pass the pair test as 0 or 1
         check_integer(p, "argument 'p'")
         check_integer(r, "argument 'r'")
+    check_angles(("gamma_p", "gamma_r"), gamma_p, gamma_r)
     _check_two_level(p, r, gamma_p, gamma_r)
     g = _on_levels(u2_matrix(0.0, phi, beta, 0.0), p, r)
-    if gamma_p != 0.0 or gamma_r != 0.0:  # true for NaN too
-        try:
-            finite = math.isfinite(gamma_p + gamma_r)
-        except TypeError:  # a phase that is no number
-            finite = False
-        if not finite:
-            check_real(gamma_p, "argument 'gamma_p'")
-            check_real(gamma_r, "argument 'gamma_r'")
+    if gamma_p != 0.0 or gamma_r != 0.0:
         d = np.ones(4, dtype=complex)
         d[p - 1] = np.exp(1j * gamma_p)
         d[r - 1] = np.exp(1j * gamma_r)
@@ -134,10 +122,11 @@ def two_level_matrix(
 def diagonal_matrix(gammas) -> np.ndarray:
     """diag(e^{i gamma_1}, ..., e^{i gamma_4})."""
     try:
-        angles = np.asarray(gammas, dtype=float)
-    except (TypeError, ValueError):  # an entry that is no real number, or a ragged list
+        angles = np.asarray(gammas)
+    except ValueError:  # a ragged list
         angles = None
-    if angles is None or angles.shape != (4,):
+    # numpy reads a bool among numbers as an integer, so a list is searched for one.
+    if angles is None or angles.shape != (4,) or angles.dtype.kind not in "iuf" or bool in map(type, gammas):
         raise ValueError(f"argument 'gammas' must hold four real angles, got {gammas!r}")
     if not math.isfinite(sum(angles.tolist())) and not np.isfinite(angles).all():  # the sum is the cheap test
         raise ValueError(f"argument 'gammas' must be finite, got {angles.tolist()}")
@@ -346,11 +335,8 @@ def u2_parameters(w: np.ndarray) -> tuple[float, float, float, float]:
     w = check_unitary(w, "w", 2)
     delta = 0.5 * float(np.angle(np.linalg.det(w)))
     w0 = np.exp(-1j * delta) * w
-    c, s = abs(w0[0, 0]), abs(w0[0, 1])
-    phi = float(np.arctan2(s, c))
-    alpha = float(np.angle(w0[0, 0])) if c > ZERO_TOL else 0.0
-    beta = float(np.angle(w0[0, 1])) if s > ZERO_TOL else 0.0
-    return alpha, phi, beta, delta
+    phi = float(np.arctan2(abs(w0[0, 1]), abs(w0[0, 0])))
+    return float(np.angle(w0[0, 0])), phi, float(np.angle(w0[0, 1])), delta
 
 
 def compress_same_orientation(gates) -> ControlDown | ControlUp:

@@ -23,7 +23,7 @@ from .gates import (
     diagonal_matrix,
     two_level_matrix,
 )
-from .linalg import GIMBAL_TOL, MEMBERSHIP_TOL, PHASE_FLOOR, check_block_form, check_unitary, is_block_form
+from .linalg import GIMBAL_TOL, MEMBERSHIP_TOL, check_block_form, check_unitary, is_block_form
 
 # Factor order of the two-level product for a general 4x4 unitary:
 # D(g1..g4) . U_{3,4} . U_{2,3} . U_{2,4} . U_{1,2} . U_{1,3} . U_{1,4}
@@ -75,11 +75,7 @@ def classify(net: CyclicNetwork) -> GroupClass:
 def _givens_parameters(w: np.ndarray, p: int, r: int) -> tuple[float, float]:
     """(phi, beta) such that w @ two_level(p, r, phi, beta)^dagger zeros entry (p, r)."""
     a, b = w[p - 1, p - 1], w[p - 1, r - 1]
-    if abs(b) < PHASE_FLOOR:
-        return 0.0, 0.0
-    phi = float(np.arctan2(abs(b), abs(a)))
-    beta = float(np.angle(b) - np.angle(a)) if abs(a) >= PHASE_FLOOR else 0.0
-    return phi, beta
+    return float(np.arctan2(abs(b), abs(a))), float(np.angle(b) - np.angle(a))
 
 
 def _eliminate(w: np.ndarray, pairs) -> tuple[list[float], dict[tuple[int, int], tuple[float, float]]]:

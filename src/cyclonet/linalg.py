@@ -22,8 +22,7 @@ STATE_TOL = 1e-10  # largest |‖v‖ − 1| accepted as a normalized state
 MEMBERSHIP_TOL = 1e-10  # group tests: inert-|00> row/column, real block, det 1, orthogonality
 ROOT_TOL = 1e-8  # closed-form roots: largest |‖λ‖ − 1|, smallest separation for cofactor vectors
 CANCEL_RATIO = 1e-3  # Cardano w cancelled: |w| below this share of |q/2| tries the conjugate branch first
-ZERO_TOL = 1e-12  # a Cardano intermediate, cofactor norm or entry whose angle is read counts as 0
-PHASE_FLOOR = 1e-15  # entry too small to carry a phase (eigenvector canonicalization, Givens)
+ZERO_TOL = 1e-12  # a Cardano intermediate, cofactor norm or eigenvector entry (Schur tie-break) counts as 0
 TRACE_SLACK = 1e-9  # slack on the real-trace range [-1, 3] of a rotation block
 GIMBAL_TOL = 1e-9  # sine of the middle Euler angle below which extraction takes the gimbal case
 TABLE_SINGULAR_TOL = 1e-6  # distance from sin phi = 0 or cos phi = -1 where the power table is singular
@@ -113,6 +112,17 @@ def check_real(value, name: str, low=-np.inf, high=np.inf) -> float:
     return x
 
 
+def check_angles(names: tuple[str, ...], *angles) -> None:
+    """Raise ValueError naming the first of the angles that is not a finite int or float; a bool is neither."""
+    try:  # one test for all; an overflowed finite sum passes below
+        if math.isfinite(sum(angles)) and bool not in map(type, angles):
+            return
+    except TypeError:  # an angle that is no number
+        pass
+    for name, angle in zip(names, angles):
+        check_real(angle, f"argument {name!r}")
+
+
 def basis_state(dim: int, index: int) -> np.ndarray:
     """Computational basis vector |index> of the given dimension."""
     check_integer(index, "index", 0, dim - 1)  # a bool index would set every entry
@@ -184,8 +194,7 @@ def dense_eigendecomposition(u) -> Spectrum:
     # Rotate each column's global phase so its largest-magnitude entry is real positive.
     cols = np.arange(u.shape[0])
     lead = z[np.abs(z).argmax(axis=0), cols]
-    mag = np.hypot(lead.real, lead.imag)
-    vectors = z * np.divide(lead.conj(), mag, out=np.ones_like(lead), where=mag >= PHASE_FLOOR)
+    vectors = z * (lead.conj() / np.hypot(lead.real, lead.imag))  # |lead| >= 1/sqrt(dim) in a unit column
     # Order by phase, ties broken by the phase of each vector's leading nonzero entry.
     nonzero = np.abs(vectors) > ZERO_TOL
     leading = np.where(nonzero.any(axis=0), np.angle(vectors[nonzero.argmax(axis=0), cols]), 0.0)

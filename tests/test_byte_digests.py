@@ -53,7 +53,6 @@ from cyclonet.cli import DEFAULT_ALPHA_FAMILY
 from cyclonet.linalg import (
     CANCEL_RATIO,
     MEMBERSHIP_TOL,
-    PHASE_FLOOR,
     ROOT_TOL,
     TABLE_SINGULAR_TOL,
     ZERO_TOL,
@@ -196,7 +195,7 @@ def reference_dense_eigendecomposition(u):
         v = z[:, k]
         j = int(np.argmax(np.abs(v)))
         mag = abs(v[j])
-        columns.append(v if mag < PHASE_FLOOR else v * (v[j].conjugate() / mag))
+        columns.append(v if mag < 1e-15 else v * (v[j].conjugate() / mag))
     vectors = np.array(columns).T
 
     def leading_phase(k):

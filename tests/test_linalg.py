@@ -1,11 +1,22 @@
-"""Core vector/matrix operations and the dense eigendecomposition oracle."""
+"""Core vector/matrix operations, the dense eigendecomposition oracle and the tolerance table."""
+
+import pathlib
+import re
 
 import numpy as np
 import pytest
 
 from cyclonet import linalg
 from cyclonet import (
+    ControlDown,
+    ControlUp,
+    CyclicNetwork,
+    DegenerateSpectrumError,
+    classify,
     compile_cycle,
+    extract_so3_angles,
+    real_trace_eigenvalues,
+    so3_example_closed_form,
     control_down_matrix,
     dense_eigendecomposition,
     haar_unitary,
@@ -166,6 +177,23 @@ class TestInputChecks:
         result = linalg.check_real(value, "x", -1, 3)
         assert type(result) is float and result == value
 
+    @pytest.mark.parametrize(
+        "angles, message",
+        [
+            ((0.1, np.nan, "a"), "^argument 'b' must be finite"),
+            ((0.1, True, np.nan), "^argument 'b' must be a number"),
+            ((None, 0.2, 0.3), "^argument 'a' must be a number"),
+            ((0.1, 0.2, 1j), "^argument 'c' must be a number"),
+        ],
+    )
+    def test_check_angles_names_the_first_bad_angle(self, angles, message):
+        with pytest.raises(ValueError, match=message):
+            linalg.check_angles(("a", "b", "c"), *angles)
+
+    @pytest.mark.parametrize("angles", [(0, 0.5, -2), (1e308, 1e308, np.float32(1.0)), (np.int64(3), np.float64(0.1), 0)])
+    def test_check_angles_takes_finite_numbers_whose_sum_may_overflow(self, angles):
+        assert linalg.check_angles(("a", "b", "c"), *angles) is None
+
     def test_dense_eigendecomposition_rejects_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):
             dense_eigendecomposition(np.full((4, 4), np.nan))
@@ -177,3 +205,75 @@ class TestInputChecks:
         monkeypatch.setattr(cyclonet.gates, "gate_matrix", lambda gate, qubits: np.full((4, 4), np.nan))
         with pytest.raises(ValueError, match="non-finite"):
             compile_cycle(alternating_pair_network(0.5))
+
+
+def _inside(call, *args, error=ValueError) -> bool:
+    """Whether call(*args) returns instead of raising error."""
+    try:
+        call(*args)
+    except error:
+        return False
+    return True
+
+
+def _rotation(i: int, j: int, t: float) -> np.ndarray:
+    """3x3 rotation by t in the plane of axes i and j."""
+    r = np.eye(3)
+    r[i, i] = r[j, j] = np.cos(t)
+    r[i, j], r[j, i] = -np.sin(t), np.sin(t)
+    return r
+
+
+# Each tolerance, a probe telling whether an input of size x lies inside it, and a size written as a literal, a few
+# hundred times today's value, that must lie outside: the probes at 0.5x and 2x pin where the constant is used, and
+# the literal pins its size.
+TOLERANCE_PROBES = [
+    # The unitarity defect of diag(sqrt(1 + x), 1) is x.
+    ("UNITARY_TOL", lambda x: _inside(linalg.check_unitary, np.diag([np.sqrt(1.0 + x), 1.0]), "u"), 3e-8),
+    # |norm - 1| of (1 + x, 0) is x.
+    ("STATE_TOL", lambda x: _inside(linalg.check_state, [1.0 + x, 0.0], "v", 2), 3e-8),
+    # ControlDown(alpha=x) leaves an active block whose imaginary part is sin x; read as real it is SO3, not SU3.
+    ("MEMBERSHIP_TOL", lambda x: classify(CyclicNetwork(2, (ControlDown(alpha=x),))).tag == "SO3", 3e-8),
+    ("TRACE_SLACK", lambda x: _inside(real_trace_eigenvalues, 3.0 + x), 3e-7),
+    # A middle Euler angle of x: inside, extraction takes the gimbal case and sets the third angle to 0.
+    ("GIMBAL_TOL", lambda x: extract_so3_angles(_rotation(0, 2, 0.4) @ _rotation(1, 2, x) @ _rotation(0, 2, 0.3))[2] == 0.0, 3e-7),
+    # sin phi = x: inside, the power table is singular.
+    ("TABLE_SINGULAR_TOL", lambda x: not _inside(so3_example_closed_form, x, error=DegenerateSpectrumError), 3e-4),
+]
+
+
+@pytest.mark.parametrize("name, inside, far", TOLERANCE_PROBES, ids=[row[0] for row in TOLERANCE_PROBES])
+def test_tolerance_admits_half_refuses_twice(name, inside, far):
+    tol = getattr(linalg, name)
+    assert inside(0.5 * tol)
+    assert not inside(2.0 * tol)
+    assert not inside(far)
+
+
+def test_trace_slack_admits_a_compiled_trace_rounded_past_three():
+    # Two cancelling pairs compile to the identity block, whose trace rounds to 3.0000000000000004.
+    net = CyclicNetwork(2, (ControlDown(phi=-1.47), ControlUp(phi=-0.33), ControlUp(phi=0.33), ControlDown(phi=1.47)))
+    trace = np.trace(compile_cycle(net)[1:, 1:]).real
+    assert trace > 3.0
+    assert np.allclose(real_trace_eigenvalues(trace), 1.0)
+    with pytest.raises(ValueError, match="^argument 'trace' must lie in"):
+        real_trace_eigenvalues(3.0 + 2.0 * linalg.TRACE_SLACK)
+
+
+def _readme_tolerances() -> dict[str, float]:
+    """README's "Numerical tolerances" table: each constant's written value, from its third column."""
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    values = {}
+    for line in text.split("## Numerical tolerances", 1)[1].split("\n## ", 1)[0].splitlines():
+        if line.startswith("| `"):
+            name, _, value = (cell.strip() for cell in re.split(r"(?<!\\)\|", line)[1:4])  # "\|" is no cell border
+            base, _, exponent = value.split(" = ")[0].partition("^")  # "2^-48 = 16·eps" is written 2^-48
+            values[name.strip("`")] = float(base) ** float(exponent) if exponent else float(base)
+    return values
+
+
+def test_readme_tolerance_table_matches_linalg():
+    names = re.findall(r"^([A-Z][A-Z_]*) = ", pathlib.Path(linalg.__file__).read_text(encoding="utf-8"), re.M)
+    written = _readme_tolerances()
+    assert sorted(written) == sorted(names)
+    assert {name: getattr(linalg, name) for name in names} == written
