@@ -43,8 +43,7 @@ from .gates import (
     load_network,
 )
 from .group import classify
-from .linalg import DEMO_ESTIMATE_TOL, DEMO_FIDELITY_TOL, DEMO_RESIDUAL_TOL, POWER_ERROR_PER_CYCLE
-from .linalg import check_integer, matrix_power_direct, unitarity_defect
+from .linalg import POWER_ERROR_PER_CYCLE, STATE_TOL, check_integer, matrix_power_direct, unitarity_defect
 from .spectral import DegenerateSpectrumError, alternating_pair_root
 
 DEFAULT_ALPHA_FAMILY = tuple(
@@ -179,8 +178,8 @@ def _demo_memory(args) -> int:
     print(f"fidelity {fidelity:.9f}")
     print(f"cycle applications: {applications}")
     print(f"spectral-power residual={residual:.3e}")
-    residual_tol = DEMO_RESIDUAL_TOL + n * POWER_ERROR_PER_CYCLE
-    ok = fidelity > 1.0 - DEMO_FIDELITY_TOL and applications <= 4 and residual < residual_tol
+    residual_tol = STATE_TOL + n * POWER_ERROR_PER_CYCLE
+    ok = fidelity > 1.0 - STATE_TOL and applications <= 4 and residual < residual_tol
     return 0 if ok else 1
 
 
@@ -194,7 +193,7 @@ def _demo_sensor(args) -> int:
         _write_csv(args.output, "n_prime,p_psi3", [np.arange(len(probabilities)), probabilities], "%d,%.12e")
     # The self-check covers every cycle count, the printed last one included.
     target = 1.0 if args.bit == 0 else 0.0
-    ok = bool(np.max(np.abs(probabilities - target)) < DEMO_RESIDUAL_TOL) and final.detected == (args.bit == 1)
+    ok = bool(np.max(np.abs(probabilities - target)) < STATE_TOL) and final.detected == (args.bit == 1)
     return 0 if ok else 1
 
 
@@ -216,8 +215,9 @@ def _demo_phase_est(args) -> int:
     if args.output:
         columns = [np.arange(len(result.distribution)), result.distribution]
         _write_csv(args.output, "outcome,probability", columns, "%d,%.12e")
-    best = round(fraction * 2**args.bits) % 2**args.bits
-    ok = abs(result.estimate - best / 2**args.bits) < DEMO_ESTIMATE_TOL
+    # The estimate is an exact t-bit fraction: it passes within half a step of the phase, around the circle.
+    steps = (Fraction(result.estimate) - Fraction(fraction)) % 1 * 2**args.bits
+    ok = min(steps, 2**args.bits - steps) <= 0.5
     return 0 if ok else 1
 
 
@@ -251,8 +251,8 @@ def _demo_chain(args) -> int:
     print(f"norm={norm:.12f}")
     print(f"unperturbed-branch residual={residual:.3e}")
     # Spectral powers drift from repeated squaring like n·eps (README, "Numerical tolerances").
-    residual_tol = DEMO_RESIDUAL_TOL + n * POWER_ERROR_PER_CYCLE
-    ok = abs(norm - 1.0) < DEMO_RESIDUAL_TOL and residual < residual_tol
+    residual_tol = STATE_TOL + n * POWER_ERROR_PER_CYCLE
+    ok = abs(norm - 1.0) < STATE_TOL and residual < residual_tol
     return 0 if ok else 1
 
 

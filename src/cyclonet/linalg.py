@@ -18,7 +18,7 @@ import scipy.linalg
 
 # Numerical tolerances: every threshold the package compares a magnitude with.
 UNITARY_TOL = 1e-10  # largest entry of U†U − I accepted as unitary
-STATE_TOL = 1e-10  # largest |‖v‖ − 1| accepted as a normalized state
+STATE_TOL = 1e-10  # largest |‖v‖ − 1| accepted as a normalized state, or a demo's unit-vector residual
 MEMBERSHIP_TOL = 1e-10  # group tests: inert-|00> row/column, real block, det 1, orthogonality
 ROOT_TOL = 1e-8  # closed-form roots: largest |‖λ‖ − 1|, smallest separation for cofactor vectors
 CANCEL_RATIO = 1e-3  # Cardano w cancelled: |w| below this share of |q/2| tries the conjugate branch first
@@ -26,10 +26,7 @@ ZERO_TOL = 1e-12  # a Cardano intermediate, cofactor norm or eigenvector entry (
 TRACE_SLACK = 1e-9  # slack on the real-trace range [-1, 3] of a rotation block
 GIMBAL_TOL = 1e-9  # sine of the middle Euler angle below which extraction takes the gimbal case
 TABLE_SINGULAR_TOL = 1e-6  # distance from sin phi = 0 or cos phi = -1 where the power table is singular
-DEMO_FIDELITY_TOL = 1e-9  # CLI memory demo: largest fidelity shortfall from 1
-DEMO_RESIDUAL_TOL = 1e-10  # CLI sensor, chain and memory demos: probability, norm, branch or spectral-power residual
 POWER_ERROR_PER_CYCLE = 2.0**-48  # 16·eps: growth per cycle of a cycle power's error, so a U^n bound is tol + n·this
-DEMO_ESTIMATE_TOL = 1e-12  # CLI phase-estimation demo: largest error of the t-bit estimate
 
 
 def as_matrix(u) -> np.ndarray:
@@ -200,11 +197,3 @@ def dense_eigendecomposition(u) -> Spectrum:
     leading = np.where(nonzero.any(axis=0), np.angle(vectors[nonzero.argmax(axis=0), cols]), 0.0)
     order = np.lexsort((leading, phases))
     return Spectrum(phases=phases[order], vectors=vectors[:, order])
-
-
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed random unitary via QR of a complex Gaussian matrix."""
-    x = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
-    q, r = np.linalg.qr(x)
-    d = np.diag(r)
-    return q * (d / np.abs(d))

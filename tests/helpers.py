@@ -30,6 +30,14 @@ P0 = np.diag([1.0, 0.0]).astype(complex)
 P1 = np.diag([0.0, 1.0]).astype(complex)
 
 
+def haar_unitary(dim, rng):
+    """Haar-distributed random unitary via QR of a complex Gaussian matrix."""
+    x = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
+    q, r = np.linalg.qr(x)
+    d = np.diag(r)
+    return q * (d / np.abs(d))
+
+
 def random_state(dim, rng):
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)

@@ -27,7 +27,6 @@ from cyclonet import (
     dense_eigendecomposition,
     extract_so3_angles,
     extract_u4_parameters,
-    haar_unitary,
     matrix_power_direct,
     memory_retrieve,
     memory_store,
@@ -45,6 +44,7 @@ from cyclonet import (
 
 from helpers import (
     eigenvalue_multiset_deviation,
+    haar_unitary,
     random_alternating_network,
     random_control_gate,
     random_state,

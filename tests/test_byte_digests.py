@@ -37,7 +37,6 @@ from cyclonet import (
     dense_eigendecomposition,
     dynamics,
     gate_matrix,
-    haar_unitary,
     matrix_power_spectral,
     nu1_to_phi,
     perturbed_amplitude_series,
@@ -59,7 +58,7 @@ from cyclonet.linalg import (
     is_block_form,
 )
 
-from helpers import EDGE_ANGLES, byte_battery
+from helpers import EDGE_ANGLES, byte_battery, haar_unitary
 
 BATTERY_SEED = 20200218
 POWERS = (1, 12345, 10**6)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cyclonet import Spectrum, dynamics, linalg, protocols
+from cyclonet import Spectrum, cli, dynamics, linalg, protocols
 from cyclonet.cli import main
 
 from helpers import traced_peak
@@ -252,6 +252,11 @@ class TestErrorExits:
         assert self.check_error(capsys, argv, "--grid-step") == ""
         assert not (tmp_path / "x.csv").exists()
 
+    def test_grid_step_of_exactly_the_row_cap_passes_it(self, tmp_path, capsys):
+        # 2 pi / step rounds up to 10^6 rows: the cap admits it, so the directory given as --output is what fails.
+        argv = ["figure", "nu0-sweep", "--alpha-family", "0", "--grid-step", "6.283188448773811e-06"]
+        assert self.check_error(capsys, argv + ["--output", str(tmp_path)], str(tmp_path)) == ""
+
     @pytest.mark.parametrize(
         "argv, field",
         [
@@ -370,6 +375,22 @@ def test_csv_bytes_match_golden_digest(tmp_path, capsys, argv):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256[argv]
 
 
+# Full stdout of README's memory and chain examples, on the build the golden CSVs were
+# recorded on: it pins each seeded draw, the chain's gate order and angle range.
+README_EXAMPLE_STDOUT = {
+    "demo memory --cycles 12345 --seed 7":
+        "# seed=7\nfidelity 1.000000000\ncycle applications: 2\nspectral-power residual=1.886e-12\n",
+    "demo chain --links 2 --nprime-max 5 --seed 3":
+        "# seed=3\nlinks=2 n_prime=5 dim=32\nnorm=1.000000000000\nunperturbed-branch residual=3.066e-16\n",
+}
+
+
+@pytest.mark.parametrize("argv", list(README_EXAMPLE_STDOUT))
+def test_readme_demo_stdout_is_pinned(capsys, argv):
+    assert main(argv.split()) == 0
+    assert capsys.readouterr().out == README_EXAMPLE_STDOUT[argv]
+
+
 class TestDemos:
     def test_memory_demo(self, capsys):
         assert main(["demo", "memory", "--cycles", "54321", "--seed", "9"]) == 0
@@ -416,7 +437,10 @@ class TestDemos:
         assert len(schur_calls) == 1
 
     @pytest.mark.parametrize(
-        "demo, spectra", [("phase-est", 1), ("memory", 1)] + [(f"chain --links {q}", q) for q in range(1, 5)]
+        "demo, spectra",
+        [("phase-est", 1), ("memory", 1)]
+        + [(f"chain --links {q}", q) for q in range(1, 5)]
+        + [("chain --links 1 --nprime-max 1000000", 1)],
     )
     def test_one_schur_spectrum_per_distinct_cycle(self, schur_calls, capsys, demo, spectra):
         # Each demo builds its cycles afresh; every reader of one cycle shares its stored spectrum.
@@ -445,6 +469,38 @@ class TestDemos:
     def test_phase_estimation_demo_prints_the_eigenphase_fraction(self, capsys, phase, printed):
         assert main(["demo", "phase-est", "--phase", phase, "--bits", "4"]) == 0
         assert f"eigenphase fraction={printed}\n" in capsys.readouterr().out
+
+    # Both neighbours of a phase halfway between two t-bit values are correct estimates.
+    @pytest.mark.parametrize("phase, bits", [("1/16", "3"), ("3/16", "3"), ("3/4", "1"), ("13/32", "4")])
+    def test_phase_estimation_demo_passes_at_a_halfway_phase(self, capsys, phase, bits):
+        assert main(["demo", "phase-est", "--phase", phase, "--bits", bits]) == 0
+
+    @pytest.mark.parametrize(
+        "phase, bits, estimate, code",
+        [
+            ("1/16", "3", 0.0, 0),
+            ("1/16", "3", 0.125, 0),
+            ("1/16", "3", 0.25, 1),
+            ("1/8", "3", 0.0, 1),
+            ("31/32", "4", 0.0, 0),
+            ("31/32", "4", 0.9375, 0),
+            ("31/32", "4", 0.875, 1),
+            ("-1/8", "3", 0.875, 0),
+            ("-1/8", "3", 0.0, 1),
+        ],
+    )
+    def test_phase_estimate_passes_within_half_a_step_around_the_circle(
+        self, monkeypatch, capsys, phase, bits, estimate, code
+    ):
+        demo = protocols.phase_estimation_demo
+        monkeypatch.setattr(
+            protocols, "phase_estimation_demo", lambda *args: dataclasses.replace(demo(*args), estimate=estimate)
+        )
+        assert main(["demo", "phase-est", f"--phase={phase}", "--bits", bits]) == code
+
+    def test_phase_estimation_demo_far_phase_exits_1_without_a_traceback(self, capsys):
+        # 2 pi x 1e307 keeps no digit of the phase mod 1, so the estimate misses it; the exact check cannot overflow.
+        assert main(["demo", "phase-est", "--phase", "1e307", "--bits", "8"]) == 1
 
     def test_chain_demo(self, capsys):
         assert main(["demo", "chain", "--links", "2", "--nprime-max", "4", "--seed", "5"]) == 0
@@ -486,6 +542,77 @@ class TestDemos:
         )
         assert rc == 1
         assert "degenerate" in capsys.readouterr().err
+
+
+class ShiftedProduct:
+    """A reference power whose product with a state is off by offset in its first entry."""
+
+    def __init__(self, matrix, offset):
+        self.matrix, self.offset = matrix, offset
+
+    def __matmul__(self, state):
+        out = self.matrix @ state
+        out[0] += self.offset
+        return out
+
+
+# A route shifted by half a demo's bound passes; one shifted by twice the bound, or by a
+# fixed literal a few hundred times it, fails.
+BOUND_SHIFTS = pytest.mark.parametrize("scale, code", [(0.5, 0), (2.0, 1), ("far", 1)], ids=["half", "twice", "far"])
+
+
+class TestDemoBounds:
+    @staticmethod
+    def offset(scale, bound, far):
+        return far if scale == "far" else scale * bound
+
+    @BOUND_SHIFTS
+    @pytest.mark.parametrize("cycles, far", [(0, 3e-8), (1000000, 1e-6)])
+    def test_memory_power_residual(self, monkeypatch, capsys, cycles, far, scale, code):
+        offset = self.offset(scale, linalg.STATE_TOL + cycles * linalg.POWER_ERROR_PER_CYCLE, far)
+        direct = cli.matrix_power_direct
+        monkeypatch.setattr(cli, "matrix_power_direct", lambda u, n: ShiftedProduct(direct(u, n), offset))
+        assert main(["demo", "memory", "--cycles", str(cycles)]) == code
+
+    @BOUND_SHIFTS
+    def test_memory_fidelity_shortfall(self, monkeypatch, capsys, scale, code):
+        offset = self.offset(scale, linalg.STATE_TOL, 3e-8)
+        retrieve = protocols.memory_retrieve
+        monkeypatch.setattr(protocols, "memory_retrieve", lambda record, n: retrieve(record, n) * (1.0 - offset))
+        assert main(["demo", "memory"]) == code
+
+    @BOUND_SHIFTS
+    @pytest.mark.parametrize("bit", [0, 1])
+    def test_sensor_probability_residual(self, monkeypatch, capsys, bit, scale, code):
+        offset = self.offset(scale, linalg.STATE_TOL, 3e-8)
+        series = protocols.sensor_series
+        # Shifted toward 1/2, so only the residual moves, not the verdict.
+        monkeypatch.setattr(protocols, "sensor_series", lambda *args: series(*args) + (offset if bit else -offset))
+        assert main(["demo", "sensor", "--bit", str(bit)]) == code
+
+    @BOUND_SHIFTS
+    @pytest.mark.parametrize("n_prime, far", [(0, 3e-8), (1000000, 1e-6)])
+    def test_chain_power_residual(self, monkeypatch, capsys, n_prime, far, scale, code):
+        offset = self.offset(scale, linalg.STATE_TOL + (n_prime + 1) * linalg.POWER_ERROR_PER_CYCLE, far)
+        evolve, direct = cli.chain_evolve, cli.matrix_power_direct
+        probes = []
+
+        def recording_evolve(nets, probe, states, n):
+            probes.append(probe[0])
+            return evolve(nets, probe, states, n)
+
+        # The reference branch is the link's power times the probe's |0> amplitude, so the shift divides by it.
+        monkeypatch.setattr(cli, "chain_evolve", recording_evolve)
+        monkeypatch.setattr(cli, "matrix_power_direct", lambda u, n: ShiftedProduct(direct(u, n), offset / probes[0]))
+        assert main(["demo", "chain", "--links", "1", "--nprime-max", str(n_prime)]) == code
+
+    @BOUND_SHIFTS
+    def test_chain_norm(self, monkeypatch, capsys, scale, code):
+        # At 10^6 cycles the residual bound is about 36 times STATE_TOL, so the norm fails first.
+        offset = self.offset(scale, linalg.STATE_TOL, 3e-8)
+        evolve = cli.chain_evolve
+        monkeypatch.setattr(cli, "chain_evolve", lambda *args: evolve(*args) * (1.0 + offset))
+        assert main(["demo", "chain", "--links", "1", "--nprime-max", "1000000"]) == code
 
 
 # ----------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from cyclonet import (
     dense_eigendecomposition,
     dynamics,
     evolve,
-    haar_unitary,
     matrix_power_direct,
     matrix_power_spectral,
     nu1_to_phi,
@@ -27,6 +26,7 @@ from cyclonet import (
 )
 
 from helpers import (
+    haar_unitary,
     random_alternating_network,
     random_state,
     stepwise_chain_oracle,

@@ -19,12 +19,11 @@ from cyclonet import (
     diagonal_matrix,
     extract_so3_angles,
     extract_u4_parameters,
-    haar_unitary,
     synthesize_so3,
     two_level_matrix,
 )
 
-from helpers import random_alternating_network, random_control_gate
+from helpers import haar_unitary, random_alternating_network, random_control_gate
 
 
 def random_block_form_target(rng):

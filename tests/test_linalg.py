@@ -19,12 +19,13 @@ from cyclonet import (
     so3_example_closed_form,
     control_down_matrix,
     dense_eigendecomposition,
-    haar_unitary,
     matrix_power_direct,
     alternating_pair_network,
     basis_state,
     unitarity_defect,
 )
+
+from helpers import haar_unitary
 
 
 class TestMatrixPowerDirect:
