@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .linalg import Spectrum, check_angles, check_integer, check_real, check_unitary, dense_eigendecomposition
+from .linalg import Spectrum, check_integer, check_real, check_unitary, dense_eigendecomposition
 
 TWO_LEVEL_PAIRS = ((3, 4), (2, 3), (2, 4), (1, 2), (1, 3), (1, 4))
 # Diagonal-phase extension is only defined for the two control-gate shaped pairs.
@@ -37,106 +37,6 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_X.flags.writeable = False  # gate_matrix returns it as the one-qubit NotGate matrix
 _EYE2 = np.eye(2, dtype=complex)  # read, never written
 _EYE4 = np.eye(4, dtype=complex)  # copied, never written
-
-
-# ----------------------------------------------------------------------------
-# Matrix constructors
-
-
-def _check_two_level(p: int, r: int, gamma_p: float, gamma_r: float) -> None:
-    if (p, r) not in TWO_LEVEL_PAIRS:
-        raise ValueError(f"invalid two-level pair ({p},{r}); must be one of {TWO_LEVEL_PAIRS}")
-    if (gamma_p != 0.0 or gamma_r != 0.0) and (p, r) not in EXTENDED_PAIRS:
-        raise ValueError(f"diagonal-phase extension undefined for pair ({p},{r})")
-
-
-def _check_cnot_lines(control: int, target: int) -> None:
-    if {control, target} != {1, 2}:
-        raise ValueError("control and target must be lines 1 and 2")
-
-
-def u2_matrix(alpha: float, phi: float, beta: float, delta: float = 0.0) -> np.ndarray:
-    """General 2x2 unitary with determinant e^{2i delta}.
-
-    Entries use scalar math/cmath (the bits of numpy's scalar ufuncs, cheaper) with
-    c and s complex, so each entry is a full complex product as in numpy (Python
-    3.14 multiplies complex by float part-wise).  The e^{i delta} factor stays a
-    numpy array product, which rounds unlike a scalar one.
-    """
-    check_angles(("alpha", "phi", "beta", "delta"), alpha, phi, beta, delta)
-    c, s = complex(math.cos(phi)), complex(math.sin(phi))
-    return cmath.exp(1j * delta) * np.array(
-        [
-            [cmath.exp(1j * alpha) * c, cmath.exp(1j * beta) * s],
-            [-cmath.exp(-1j * beta) * s, cmath.exp(-1j * alpha) * c],
-        ]
-    )
-
-
-def _on_levels(block: np.ndarray, p: int, r: int) -> np.ndarray:
-    """4x4 identity with the 2x2 block on basis levels p < r (1-based)."""
-    g = _EYE4.copy()
-    levels = slice(p - 1, r, r - p)  # rows and columns p and r, as a basic slice
-    g[levels, levels] = block
-    return g
-
-
-def control_down_matrix(alpha: float, phi: float, beta: float, delta: float = 0.0) -> np.ndarray:
-    """Controlled U(2) with control on the top loop; block acts on |10>,|11>."""
-    return _on_levels(u2_matrix(alpha, phi, beta, delta), 3, 4)
-
-
-def control_up_matrix(alpha: float, phi: float, beta: float, delta: float = 0.0) -> np.ndarray:
-    """Controlled U(2) with control on the bottom loop; block acts on |01>,|11>."""
-    return _on_levels(u2_matrix(alpha, phi, beta, delta), 2, 4)
-
-
-def two_level_matrix(
-    p: int,
-    r: int,
-    phi: float,
-    beta: float,
-    gamma_p: float = 0.0,
-    gamma_r: float = 0.0,
-) -> np.ndarray:
-    """Two-level mixing of basis levels p and r (1-based) of a 4-dim space.
-
-    The 2x2 block is u2(0, phi, beta, 0); nonzero gamma_p / gamma_r
-    left-multiply by diagonal phases e^{i gamma} on rows p and r, which is
-    only defined for pairs (2,4) and (3,4).
-    """
-    if type(p) is not int or type(r) is not int:  # the specs pass ints; a bool would pass the pair test as 0 or 1
-        check_integer(p, "argument 'p'")
-        check_integer(r, "argument 'r'")
-    check_angles(("gamma_p", "gamma_r"), gamma_p, gamma_r)
-    _check_two_level(p, r, gamma_p, gamma_r)
-    g = _on_levels(u2_matrix(0.0, phi, beta, 0.0), p, r)
-    if gamma_p != 0.0 or gamma_r != 0.0:
-        d = np.ones(4, dtype=complex)
-        d[p - 1] = np.exp(1j * gamma_p)
-        d[r - 1] = np.exp(1j * gamma_r)
-        g = d[:, None] * g
-    return g
-
-
-def diagonal_matrix(gammas) -> np.ndarray:
-    """diag(e^{i gamma_1}, ..., e^{i gamma_4})."""
-    try:
-        angles = np.asarray(gammas)
-    except ValueError:  # a ragged list
-        angles = None
-    # numpy reads a bool among numbers as an integer, so a list is searched for one.
-    if angles is None or angles.shape != (4,) or angles.dtype.kind not in "iuf" or bool in map(type, gammas):
-        raise ValueError(f"argument 'gammas' must hold four real angles, got {gammas!r}")
-    if not math.isfinite(sum(angles.tolist())) and not np.isfinite(angles).all():  # the sum is the cheap test
-        raise ValueError(f"argument 'gammas' must be finite, got {angles.tolist()}")
-    return np.diag(np.exp(1j * angles))
-
-
-def cnot_matrix(control: int, target: int) -> np.ndarray:
-    """Controlled-Not on two qubits, lines 1 (top) and 2 (bottom)."""
-    _check_cnot_lines(control, target)
-    return _on_levels(SIGMA_X, 3 if control == 1 else 2, 4)  # flips levels |10>,|11> or |01>,|11>
 
 
 # ----------------------------------------------------------------------------
@@ -201,7 +101,10 @@ class TwoLevel(_GateSpec):
 
     def __post_init__(self):
         super().__post_init__()
-        _check_two_level(self.p, self.r, self.gamma_p, self.gamma_r)
+        if (self.p, self.r) not in TWO_LEVEL_PAIRS:
+            raise ValueError(f"invalid two-level pair ({self.p},{self.r}); must be one of {TWO_LEVEL_PAIRS}")
+        if (self.gamma_p != 0.0 or self.gamma_r != 0.0) and (self.p, self.r) not in EXTENDED_PAIRS:
+            raise ValueError(f"diagonal-phase extension undefined for pair ({self.p},{self.r})")
 
 
 @dataclass(frozen=True)
@@ -211,7 +114,8 @@ class DiagonalLayer(_GateSpec):
     gammas: tuple[float, float, float, float]
 
     def __post_init__(self):
-        if not isinstance(self.gammas, (tuple, list)) or len(self.gammas) != 4:
+        vector = isinstance(self.gammas, (tuple, list)) or isinstance(self.gammas, np.ndarray) and self.gammas.ndim == 1
+        if not vector or len(self.gammas) != 4:
             raise ValueError(f"DiagonalLayer field 'gammas' must hold four angles, got {self.gammas!r}")
         gammas = tuple(check_real(g, f"DiagonalLayer field 'gamma{i}'") for i, g in enumerate(self.gammas, start=1))
         object.__setattr__(self, "gammas", gammas)
@@ -233,7 +137,8 @@ class ControlNot(_GateSpec):
 
     def __post_init__(self):
         super().__post_init__()
-        _check_cnot_lines(self.control, self.target)
+        if {self.control, self.target} != {1, 2}:
+            raise ValueError("control and target must be lines 1 and 2")
 
 
 GateSpec = (
@@ -241,6 +146,35 @@ GateSpec = (
 )
 
 _CONTROL_KINDS = (ControlDown, ControlUp)
+
+
+# ----------------------------------------------------------------------------
+# Gate matrices, built from the checked fields of a gate spec
+
+
+def _u2(alpha: float, phi: float, beta: float, delta: float) -> np.ndarray:
+    """General 2x2 unitary with determinant e^{2i delta}, from float angles.
+
+    Entries use scalar math/cmath (the bits of numpy's scalar ufuncs, cheaper) with
+    c and s complex, so each entry is a full complex product as in numpy (Python
+    3.14 multiplies complex by float part-wise).  The e^{i delta} factor stays a
+    numpy array product, which rounds unlike a scalar one.
+    """
+    c, s = complex(math.cos(phi)), complex(math.sin(phi))
+    return cmath.exp(1j * delta) * np.array(
+        [
+            [cmath.exp(1j * alpha) * c, cmath.exp(1j * beta) * s],
+            [-cmath.exp(-1j * beta) * s, cmath.exp(-1j * alpha) * c],
+        ]
+    )
+
+
+def _on_levels(block: np.ndarray, p: int, r: int) -> np.ndarray:
+    """4x4 identity with the 2x2 block on basis levels p < r (1-based)."""
+    g = _EYE4.copy()
+    levels = slice(p - 1, r, r - p)  # rows and columns p and r, as a basic slice
+    g[levels, levels] = block
+    return g
 
 
 def _embed_single(u2: np.ndarray, line: int, qubits: int) -> np.ndarray:
@@ -255,26 +189,73 @@ def _embed_single(u2: np.ndarray, line: int, qubits: int) -> np.ndarray:
 
 
 def gate_matrix(gate: GateSpec, qubits: int) -> np.ndarray:
-    """Dense matrix of one gate embedded in the network's full space."""
+    """Dense matrix of one gate embedded in the network's full space, from the spec's checked fields."""
     if qubits not in (1, 2) or type(qubits) is not int and not isinstance(qubits, np.integer):  # True == 1
         raise ValueError(f"qubits must be 1 or 2, got {qubits!r}")
     if isinstance(gate, SingleQubit):
-        return _embed_single(u2_matrix(gate.alpha, gate.phi, gate.beta, gate.delta), gate.line, qubits)
+        return _embed_single(_u2(gate.alpha, gate.phi, gate.beta, gate.delta), gate.line, qubits)
     if isinstance(gate, NotGate):
         return _embed_single(SIGMA_X, gate.line, qubits)
     if qubits != 2:
         raise ValueError(f"{type(gate).__name__} requires a two-qubit network")
-    if isinstance(gate, ControlDown):
-        return control_down_matrix(gate.alpha, gate.phi, gate.beta, gate.delta)
-    if isinstance(gate, ControlUp):
-        return control_up_matrix(gate.alpha, gate.phi, gate.beta, gate.delta)
-    if isinstance(gate, TwoLevel):
-        return two_level_matrix(gate.p, gate.r, gate.phi, gate.beta, gate.gamma_p, gate.gamma_r)
+    if isinstance(gate, ControlDown):  # block on |10>,|11>
+        return _on_levels(_u2(gate.alpha, gate.phi, gate.beta, gate.delta), 3, 4)
+    if isinstance(gate, ControlUp):  # block on |01>,|11>
+        return _on_levels(_u2(gate.alpha, gate.phi, gate.beta, gate.delta), 2, 4)
+    if isinstance(gate, TwoLevel):  # u2(0, phi, beta, 0) on levels p, r; rows p and r then phased by e^{i gamma}
+        g = _on_levels(_u2(0.0, gate.phi, gate.beta, 0.0), gate.p, gate.r)
+        if gate.gamma_p != 0.0 or gate.gamma_r != 0.0:
+            d = np.ones(4, dtype=complex)
+            d[gate.p - 1] = np.exp(1j * gate.gamma_p)
+            d[gate.r - 1] = np.exp(1j * gate.gamma_r)
+            g = d[:, None] * g
+        return g
     if isinstance(gate, DiagonalLayer):
-        return diagonal_matrix(gate.gammas)
-    if isinstance(gate, ControlNot):
-        return cnot_matrix(gate.control, gate.target)
+        return np.diag(np.exp(1j * np.array(gate.gammas)))
+    if isinstance(gate, ControlNot):  # flips levels |10>,|11> or |01>,|11>
+        return _on_levels(SIGMA_X, 3 if gate.control == 1 else 2, 4)
     raise TypeError(f"unknown gate spec {gate!r}")
+
+
+# ----------------------------------------------------------------------------
+# Matrix constructors: each checks its arguments as the fields of its gate spec
+
+
+def u2_matrix(alpha: float, phi: float, beta: float, delta: float = 0.0) -> np.ndarray:
+    """General 2x2 unitary with determinant e^{2i delta}: SingleQubit(1, ...)'s matrix."""
+    return gate_matrix(SingleQubit(1, alpha, phi, beta, delta), 1)
+
+
+def control_down_matrix(alpha: float, phi: float, beta: float, delta: float = 0.0) -> np.ndarray:
+    """Controlled U(2) with control on the top loop; block acts on |10>,|11>."""
+    return gate_matrix(ControlDown(alpha, phi, beta, delta), 2)
+
+
+def control_up_matrix(alpha: float, phi: float, beta: float, delta: float = 0.0) -> np.ndarray:
+    """Controlled U(2) with control on the bottom loop; block acts on |01>,|11>."""
+    return gate_matrix(ControlUp(alpha, phi, beta, delta), 2)
+
+
+def two_level_matrix(
+    p: int,
+    r: int,
+    phi: float,
+    beta: float,
+    gamma_p: float = 0.0,
+    gamma_r: float = 0.0,
+) -> np.ndarray:
+    """Two-level mixing of basis levels p and r (1-based) of a 4-dim space.
+
+    The 2x2 block is u2(0, phi, beta, 0); nonzero gamma_p / gamma_r
+    left-multiply by diagonal phases e^{i gamma} on rows p and r, which is
+    only defined for pairs (2,4) and (3,4).
+    """
+    return gate_matrix(TwoLevel(p, r, phi, beta, gamma_p, gamma_r), 2)
+
+
+def diagonal_matrix(gammas) -> np.ndarray:
+    """diag(e^{i gamma_1}, ..., e^{i gamma_4}) of a list, tuple or 1-D array of four angles."""
+    return gate_matrix(DiagonalLayer(gammas), 2)
 
 
 # ----------------------------------------------------------------------------
@@ -355,7 +336,7 @@ def compress_same_orientation(gates) -> ControlDown | ControlUp:
         return gates[0]
     block = np.eye(2, dtype=complex)
     for g in gates:
-        block = u2_matrix(g.alpha, g.phi, g.beta, g.delta) @ block
+        block = _u2(g.alpha, g.phi, g.beta, g.delta) @ block
     return kind(*u2_parameters(block))
 
 

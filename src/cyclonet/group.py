@@ -134,14 +134,20 @@ def synthesize_so3(
 def extract_so3_angles(m, leading: str = "up") -> tuple[float, float, float]:
     """Euler-style angles such that synthesize_so3(*angles, leading) compiles to m.
 
-    m is the real orthogonal 3x3 active block (det +1).  The gimbal case
-    (middle angle 0 or pi) is resolved by setting the third angle to 0.
+    m is the real orthogonal 3x3 active block (det +1), or a complex one whose
+    imaginary part is within MEMBERSHIP_TOL, as classify requires of SO3.  The
+    gimbal case (middle angle 0 or pi) is resolved by setting the third angle to 0.
     """
     if leading not in ("up", "down"):
         raise ValueError(f"leading must be 'up' or 'down', got {leading!r}")
-    m = np.asarray(m, dtype=float)
+    m = np.asarray(m)
     if m.shape != (3, 3):
         raise ValueError(f"expected a 3x3 rotation, got {m.shape}")
+    if np.iscomplexobj(m):
+        if not _is_real(m):
+            raise ValueError(f"m must be real, got an imaginary part up to {np.abs(m.imag).max():.3e}")
+        m = m.real
+    m = np.asarray(m, dtype=float)
     if not np.max(np.abs(m.T @ m - np.eye(3))) <= MEMBERSHIP_TOL:  # a non-finite entry fails here, before det
         raise ValueError("m must be a finite orthogonal matrix")
     if not _is_unimodular(m):

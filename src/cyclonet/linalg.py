@@ -109,17 +109,6 @@ def check_real(value, name: str, low=-np.inf, high=np.inf) -> float:
     return x
 
 
-def check_angles(names: tuple[str, ...], *angles) -> None:
-    """Raise ValueError naming the first of the angles that is not a finite int or float; a bool is neither."""
-    try:  # one test for all; an overflowed finite sum passes below
-        if math.isfinite(sum(angles)) and bool not in map(type, angles):
-            return
-    except TypeError:  # an angle that is no number
-        pass
-    for name, angle in zip(names, angles):
-        check_real(angle, f"argument {name!r}")
-
-
 def basis_state(dim: int, index: int) -> np.ndarray:
     """Computational basis vector |index> of the given dimension."""
     check_integer(index, "index", 0, dim - 1)  # a bool index would set every entry

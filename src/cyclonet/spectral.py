@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import alternating_pair_network, compile_cycle
-from .linalg import CANCEL_RATIO, ROOT_TOL, TRACE_SLACK, ZERO_TOL, check_angles, check_real
+from .linalg import CANCEL_RATIO, ROOT_TOL, TRACE_SLACK, ZERO_TOL, check_real
 from .linalg import Spectrum, check_block_form, check_unitary, dense_eigendecomposition
 
 log = logging.getLogger(__name__)
@@ -233,7 +233,8 @@ def spectrum_closed_form(g) -> Spectrum:
 
 def alternating_pair_trace(alpha: float, phi: float) -> complex:
     """Active-block trace e^{-2i alpha} cos^2 phi + 2 e^{i alpha} cos phi."""
-    check_angles(("alpha", "phi"), alpha, phi)
+    check_real(alpha, "argument 'alpha'")
+    check_real(phi, "argument 'phi'")
     c = np.cos(phi)
     return complex(np.exp(-2j * alpha) * c * c + 2.0 * np.exp(1j * alpha) * c)
 

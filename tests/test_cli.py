@@ -1,9 +1,12 @@
 """Command-line interface: classification reports, CSVs, demos, determinism."""
 
+import argparse
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
+import re
 import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -613,6 +616,38 @@ class TestDemoBounds:
         evolve = cli.chain_evolve
         monkeypatch.setattr(cli, "chain_evolve", lambda *args: evolve(*args) * (1.0 + offset))
         assert main(["demo", "chain", "--links", "1", "--nprime-max", "1000000"]) == code
+
+
+# ----------------------------------------------------------------------------
+# The module docstring's synopsis is the parser's
+
+
+def parser_options(parser, path=()):
+    """{command words: its --options, -h aside} for each leaf command under parser."""
+    subparsers = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    if not subparsers:
+        return {path: {s for action in parser._actions for s in action.option_strings} - {"-h", "--help"}}
+    leaves = {}
+    for name, child in subparsers[0].choices.items():
+        leaves.update(parser_options(child, path + (name,)))
+    return leaves
+
+
+def synopsis_options():
+    """{command words: its --options} for each command line of cli.py's synopsis; an indented '[' line continues the one above."""
+    block = cli.__doc__.split("Subcommands:\n\n")[1].split("\n\n")[0]
+    commands = re.sub(r"\n\s+\[", " [", block).splitlines()
+    synopsis = {}
+    for line in commands:
+        words = line.split()
+        assert words[0] == "cyclonet", line
+        path = tuple(itertools.takewhile(lambda word: word[0] not in "-[", words[1:]))
+        synopsis[path] = set(re.findall(r"--[a-z0-9-]+", line))
+    return synopsis
+
+
+def test_synopsis_names_each_command_and_its_options():
+    assert synopsis_options() == parser_options(cli.build_parser())
 
 
 # ----------------------------------------------------------------------------

@@ -478,9 +478,9 @@ class TestGateSpecValidation:
             (real_trace_eigenvalues, "trace"),
             pytest.param(lambda x: u2_matrix(x, 0.0, 0.0), "alpha", id="u2_matrix"),
             pytest.param(lambda x: two_level_matrix(3, 4, 0.1, 0.2, x, 0.0), "gamma_p", id="two_level_matrix"),
-            pytest.param(lambda x: diagonal_matrix([x] * 4), "gammas", id="diagonal_matrix"),
+            pytest.param(lambda x: diagonal_matrix([x] * 4), "gamma1", id="diagonal_matrix"),
             # build_u4 is refused by the constructor it calls.
-            pytest.param(lambda x: build_u4(U4Parameters((x,) * 4, ((0.0, 0.0),) * 6)), "gammas", id="build_u4"),
+            pytest.param(lambda x: build_u4(U4Parameters((x,) * 4, ((0.0, 0.0),) * 6)), "gamma1", id="build_u4"),
         ],
     )
     def test_non_finite_angle_rejected(self, make, field, bad):
@@ -491,20 +491,36 @@ class TestGateSpecValidation:
         assert ControlDown(0.1, 0.2, 0.3, 0.4).phi == 0.2
         assert TwoLevel(2, 4, 0.9, -0.9, 0.25, -0.25).gamma_r == -0.25
 
+    def test_diagonal_layer_keeps_a_1d_array_as_a_tuple_of_floats(self):
+        layer = DiagonalLayer(np.array([0.1, -2, 0.0, 3.5]))
+        assert layer == DiagonalLayer((0.1, -2.0, 0.0, 3.5))
+        assert type(layer.gammas) is tuple and {type(g) for g in layer.gammas} == {float}
+        with pytest.raises(ValueError, match="^DiagonalLayer field 'gammas' must hold four angles"):
+            DiagonalLayer(np.zeros((4, 1)))
+
     @pytest.mark.parametrize(
         "call, message",
         [
-            pytest.param(lambda: u2_matrix(None, 0, 0), "^argument 'alpha' must be a number", id="u2_matrix-None"),
-            pytest.param(lambda: u2_matrix("a", 0, 0), "^argument 'alpha' must be a number", id="u2_matrix-str"),
-            pytest.param(lambda: u2_matrix(True, 0, 0), "^argument 'alpha' must be a number", id="u2_matrix-bool"),
-            pytest.param(lambda: diagonal_matrix([1j, 0, 0, 0]), "^argument 'gammas' must hold four real", id="diagonal_matrix-complex"),
-            pytest.param(lambda: diagonal_matrix(["a", 0, 0, 0]), "^argument 'gammas' must hold four real", id="diagonal_matrix-str"),
-            pytest.param(lambda: diagonal_matrix(["1.5", 0, 0, 0]), "^argument 'gammas' must hold four real", id="diagonal_matrix-numeric-str"),
-            pytest.param(lambda: diagonal_matrix([True, 0, 0, 0]), "^argument 'gammas' must hold four real", id="diagonal_matrix-bool"),
-            pytest.param(lambda: diagonal_matrix(np.array([1j, 0, 0, 0])), "^argument 'gammas' must hold four real", id="diagonal_matrix-complex-array"),
-            pytest.param(lambda: two_level_matrix(True, 4, 0.1, 0.0), "^argument 'p' must be an integer", id="two_level_matrix-bool"),
-            pytest.param(lambda: two_level_matrix(3, 4, 0.1, 0.0, None, 0.0), "^argument 'gamma_p' must be a number", id="two_level_matrix-None-phase"),
-            pytest.param(lambda: two_level_matrix(3, 4, 0.1, 0.2, True, 0.0), "^argument 'gamma_p' must be a number", id="two_level_matrix-bool-phase"),
+            pytest.param(lambda: u2_matrix(None, 0, 0), "^SingleQubit field 'alpha' must be a number", id="u2_matrix-None"),
+            pytest.param(lambda: u2_matrix("a", 0, 0), "^SingleQubit field 'alpha' must be a number", id="u2_matrix-str"),
+            pytest.param(lambda: u2_matrix(True, 0, 0), "^SingleQubit field 'alpha' must be a number", id="u2_matrix-bool"),
+            # A numpy complex angle would give a matrix far from unitary.
+            pytest.param(lambda: u2_matrix(np.complex128(0.3 + 1j), 0, 0), "^SingleQubit field 'alpha' must be a number", id="u2_matrix-numpy-complex"),
+            pytest.param(lambda: diagonal_matrix([1j, 0, 0, 0]), "^DiagonalLayer field 'gamma1' must be a number", id="diagonal_matrix-complex"),
+            pytest.param(lambda: diagonal_matrix(["a", 0, 0, 0]), "^DiagonalLayer field 'gamma1' must be a number", id="diagonal_matrix-str"),
+            pytest.param(lambda: diagonal_matrix(["1.5", 0, 0, 0]), "^DiagonalLayer field 'gamma1' must be a number", id="diagonal_matrix-numeric-str"),
+            pytest.param(lambda: diagonal_matrix([True, 0, 0, 0]), "^DiagonalLayer field 'gamma1' must be a number", id="diagonal_matrix-bool"),
+            pytest.param(lambda: diagonal_matrix(np.array([1j, 0, 0, 0])), "^DiagonalLayer field 'gamma1' must be a number", id="diagonal_matrix-complex-array"),
+            pytest.param(lambda: two_level_matrix(True, 4, 0.1, 0.0), "^TwoLevel field 'p' must be an integer", id="two_level_matrix-bool"),
+            pytest.param(lambda: two_level_matrix(3, 4, 0.1, 0.0, None, 0.0), "^TwoLevel field 'gamma_p' must be a number", id="two_level_matrix-None-phase"),
+            pytest.param(lambda: two_level_matrix(3, 4, 0.1, 0.2, True, 0.0), "^TwoLevel field 'gamma_p' must be a number", id="two_level_matrix-bool-phase"),
+            # An integer too large for a float is named, not left to escape as OverflowError.
+            pytest.param(lambda: u2_matrix(10**400, 0, 0), "^SingleQubit field 'alpha' must be finite", id="u2_matrix-huge-int"),
+            pytest.param(lambda: control_up_matrix(0, 10**400, 0), "^ControlUp field 'phi' must be finite", id="control_up_matrix-huge-int"),
+            pytest.param(lambda: two_level_matrix(3, 4, 0.1, 0.2, 0.0, 10**400), "^TwoLevel field 'gamma_r' must be finite", id="two_level_matrix-huge-int"),
+            pytest.param(lambda: build_u4(U4Parameters((0.0,) * 4, ((0.0, 0.0),) * 5 + ((10**400, 0.0),))), "^TwoLevel field 'phi' must be finite", id="build_u4-huge-int"),
+            pytest.param(lambda: alternating_pair_trace(10**400, 0.3), "^argument 'alpha' must be finite", id="alternating_pair_trace-huge-int"),
+            pytest.param(lambda: alternating_su3_analysis(0.1, 10**400), "^argument 'phi' must be finite", id="alternating_su3_analysis-huge-int"),
             pytest.param(lambda: gate_matrix(NotGate(1), True), "^qubits must be 1 or 2", id="gate_matrix-bool"),
             pytest.param(lambda: U4Parameters((0, 0, 0), ((0, 0),) * 6), "^U4Parameters field 'gammas' must", id="U4Parameters-gammas"),
             pytest.param(lambda: U4Parameters((0,) * 4, ((0, 0),) * 5 + ((0,),)), r"^U4Parameters field 'rotations\[5\]' must", id="U4Parameters-pair"),
@@ -519,7 +535,7 @@ class TestGateSpecValidation:
             call()
 
     def test_matrix_constructors_take_finite_angles_whose_sum_overflows(self):
-        # The constructors test the sum of their angles first; an overflowed sum is not a refusal.
+        # Each angle is checked on its own; a sum that would overflow is not a refusal.
         assert np.isfinite(u2_matrix(1e308, 1e308, 0.0)).all()
         assert np.isfinite(two_level_matrix(3, 4, 0.1, 0.2, 1e308, 1e308)).all()
         assert np.isfinite(diagonal_matrix([1e308, 1e308, 0.0, 0.0])).all()

@@ -22,6 +22,7 @@ from cyclonet import (
     synthesize_so3,
     two_level_matrix,
 )
+from cyclonet.linalg import MEMBERSHIP_TOL
 
 from helpers import haar_unitary, random_alternating_network, random_control_gate
 
@@ -203,6 +204,21 @@ class TestSo3:
     def test_rejects_improper_rotation(self):
         with pytest.raises(ValueError, match="det"):
             extract_so3_angles(np.diag([1.0, 1.0, -1.0]))
+
+    @pytest.mark.parametrize("leading", ["up", "down"])
+    def test_takes_the_complex_block_of_a_compiled_cycle(self, leading):
+        net = synthesize_so3(0.3, 0.5, 0.7, leading)
+        m = compile_cycle(net)[1:, 1:]
+        assert m.dtype == complex and classify(net).tag == "SO3"
+        assert extract_so3_angles(m, leading) == extract_so3_angles(m.real, leading)
+        # classify's SO3 test bounds the imaginary part by MEMBERSHIP_TOL; so does this.
+        assert extract_so3_angles(m + 0.5j * MEMBERSHIP_TOL, leading) == extract_so3_angles(m.real, leading)
+
+    @pytest.mark.parametrize("imaginary", [1e-3, 2.0 * MEMBERSHIP_TOL])
+    def test_refuses_an_imaginary_part_classify_would_not_call_real(self, imaginary):
+        m = compile_cycle(synthesize_so3(0.3, 0.5, 0.7))[1:, 1:]
+        with pytest.raises(ValueError, match="^m must be real"):
+            extract_so3_angles(m + 1j * imaginary)
 
 
 class TestU4:

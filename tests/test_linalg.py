@@ -178,23 +178,6 @@ class TestInputChecks:
         result = linalg.check_real(value, "x", -1, 3)
         assert type(result) is float and result == value
 
-    @pytest.mark.parametrize(
-        "angles, message",
-        [
-            ((0.1, np.nan, "a"), "^argument 'b' must be finite"),
-            ((0.1, True, np.nan), "^argument 'b' must be a number"),
-            ((None, 0.2, 0.3), "^argument 'a' must be a number"),
-            ((0.1, 0.2, 1j), "^argument 'c' must be a number"),
-        ],
-    )
-    def test_check_angles_names_the_first_bad_angle(self, angles, message):
-        with pytest.raises(ValueError, match=message):
-            linalg.check_angles(("a", "b", "c"), *angles)
-
-    @pytest.mark.parametrize("angles", [(0, 0.5, -2), (1e308, 1e308, np.float32(1.0)), (np.int64(3), np.float64(0.1), 0)])
-    def test_check_angles_takes_finite_numbers_whose_sum_may_overflow(self, angles):
-        assert linalg.check_angles(("a", "b", "c"), *angles) is None
-
     def test_dense_eigendecomposition_rejects_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):
             dense_eigendecomposition(np.full((4, 4), np.nan))
